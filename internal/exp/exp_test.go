@@ -96,19 +96,19 @@ func TestHypercallTableShape(t *testing.T) {
 func TestSuiteCaching(t *testing.T) {
 	s := NewSuite(256)
 	r1 := s.Xen("swaptions", "round-4k", true)
-	if len(s.CacheKeys()) != 1 {
-		t.Fatalf("cache keys = %v", s.CacheKeys())
+	if len(s.cache.keys()) != 1 {
+		t.Fatalf("cache keys = %v", s.cache.keys())
 	}
 	r2 := s.Xen("swaptions", "round-4k", true)
 	if r1.Completion != r2.Completion {
 		t.Fatal("cache returned a different result")
 	}
-	if len(s.CacheKeys()) != 1 {
+	if len(s.cache.keys()) != 1 {
 		t.Fatal("cache grew on a hit")
 	}
 	// A different configuration is a different key.
 	s.Xen("swaptions", "round-4k", false)
-	if len(s.CacheKeys()) != 2 {
+	if len(s.cache.keys()) != 2 {
 		t.Fatal("miss did not populate the cache")
 	}
 }

@@ -57,7 +57,7 @@ func TestErroredCellEvictedAndRetryable(t *testing.T) {
 			if s.CellErrors() != 1 {
 				t.Fatalf("CellErrors = %d, want 1", s.CellErrors())
 			}
-			if n := len(s.CacheKeys()); n != 0 {
+			if n := len(s.cache.keys()); n != 0 {
 				t.Fatalf("errored cell retained: %d cache keys", n)
 			}
 			if plan.Fired("exp.cell") != 1 {

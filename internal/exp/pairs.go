@@ -166,16 +166,6 @@ func Fig9(s *Suite) *Table {
 		Fig9Pairs, xennuma.Consolidated)
 }
 
-// AllExperiments runs every driver in paper order. Each driver batches
-// its own cells onto the suite's worker pool.
-func AllExperiments(s *Suite) []*Table {
-	return []*Table{
-		Fig1(s), Fig2(s), Table1(s), Table2(s), Table3(s), Table4(s),
-		Fig5(s), Fig6(s), Fig7(s), Fig8(s), Fig9(s), Fig10(s),
-		IOTable(s), HypercallTable(s),
-	}
-}
-
 // ByID returns the driver for an experiment id, or nil.
 func ByID(id string) func(*Suite) *Table {
 	m := map[string]func(*Suite) *Table{

@@ -22,7 +22,7 @@ func renderMiniTables(workers int, seed uint64) (string, []string) {
 	var b strings.Builder
 	b.WriteString(pairFigure(s, "mini8", "mini colocated", miniPairs, xennuma.Colocated).Render())
 	b.WriteString(pairFigure(s, "mini9", "mini consolidated", miniPairs, xennuma.Consolidated).Render())
-	return b.String(), s.CacheKeys()
+	return b.String(), s.cache.keys()
 }
 
 // TestPairFigureDeterministicAcrossWorkers: the same seed must produce

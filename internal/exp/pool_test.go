@@ -16,7 +16,9 @@ func poolCells(t *testing.T, workers int, noPool bool) ([]engine.Result, uint64)
 	t.Helper()
 	s := NewSuiteParallel(256, workers)
 	s.Opt.Seed = 7
-	s.Opt.NoPool = noPool
+	if noPool {
+		s.Opt.Pool = nil
+	}
 	apps := []string{"swaptions", "ep.D"}
 	for _, app := range apps {
 		s.PrefetchXenSweep(app)
@@ -41,9 +43,9 @@ func poolCells(t *testing.T, workers int, noPool bool) ([]engine.Result, uint64)
 
 // TestPooledCellsMatchFreshSuites pins the warm-machine pool end to
 // end: a suite leasing and resetting pooled machines must produce
-// results bit-for-bit identical to the Options.NoPool reference path
-// that cold-builds every cell, at one worker and at several (leases are
-// exclusive, so worker count must not matter). The pool must also
+// results bit-for-bit identical to the reference path that leaves
+// Options.Pool nil and cold-builds every cell, at one worker and at
+// several (leases are exclusive, so worker count must not matter). The pool must also
 // actually fire, or the comparison is vacuous.
 func TestPooledCellsMatchFreshSuites(t *testing.T) {
 	want, _ := poolCells(t, 1, true)

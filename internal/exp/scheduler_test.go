@@ -74,7 +74,7 @@ func TestSingleflightDeduplicates(t *testing.T) {
 	if n := s.CellsComputed(); n != 1 {
 		t.Fatalf("computed %d cells for 16 identical prefetches, want 1", n)
 	}
-	if keys := s.CacheKeys(); len(keys) != 1 {
+	if keys := s.cache.keys(); len(keys) != 1 {
 		t.Fatalf("cache keys = %v", keys)
 	}
 	// The serial accessor hits the warmed cell.

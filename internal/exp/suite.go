@@ -51,8 +51,8 @@ func NewSuite(scale int) *Suite { return NewSuiteParallel(scale, 0) }
 // NewSuiteParallel returns a suite whose prefetched cells run on at most
 // workers goroutines (<= 0 selects runtime.GOMAXPROCS(0)). Each suite
 // carries its own warm-machine pool: cells lease and reset pre-built
-// machines instead of cold-building one per run (set Opt.NoPool to
-// force the fresh-build reference path).
+// machines instead of cold-building one per run (set Opt.Pool to nil
+// to force the fresh-build reference path).
 func NewSuiteParallel(scale, workers int) *Suite {
 	return &Suite{
 		Opt:   xennuma.Options{Scale: scale, Pool: xennuma.NewPool()},
@@ -304,6 +304,3 @@ func (s *Suite) best(pols []string, run func(string) engine.Result) (string, eng
 
 // Apps returns the evaluation's application list.
 func Apps() []string { return workload.Names() }
-
-// CacheKeys lists memoized cells (for tests).
-func (s *Suite) CacheKeys() []string { return s.cache.keys() }

@@ -99,24 +99,3 @@ func (p *Process) Munmap(start pt.VPN) (sim.Time, error) {
 
 // Resident reports the number of physically backed pages.
 func (p *Process) Resident() int { return p.table.Len() }
-
-// Table exposes the process page table (for tests and tools).
-func (p *Process) Table() *pt.GuestTable { return p.table }
-
-// ChurnOnce models one Streamflow-style allocator cycle: mmap one page,
-// touch it, munmap it. It returns the total guest+hypervisor cost; under
-// first-touch this emits one alloc and one release notification.
-func (p *Process) ChurnOnce() (sim.Time, error) {
-	v, cost, err := p.Mmap(1)
-	if err != nil {
-		return cost, err
-	}
-	_, c2, err := p.Touch(v)
-	cost += c2
-	if err != nil {
-		return cost, err
-	}
-	c3, err := p.Munmap(v)
-	cost += c3
-	return cost, err
-}

@@ -85,10 +85,23 @@ func TestProcessPartiallyTouchedMunmap(t *testing.T) {
 func TestProcessChurnNotifiesUnderFirstTouch(t *testing.T) {
 	g := testOS(t)
 	p := g.NewProcess(1)
-	// Inactive policy: no notifications.
-	if _, err := p.ChurnOnce(); err != nil {
-		t.Fatal(err)
+	// One Streamflow-style allocator cycle: mmap one page, touch it,
+	// munmap it.
+	churn := func() {
+		t.Helper()
+		v, _, err := p.Mmap(1)
+		if err == nil {
+			_, _, err = p.Touch(v)
+		}
+		if err == nil {
+			_, err = p.Munmap(v)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
+	// Inactive policy: no notifications.
+	churn()
 	if g.Queue.Ops != 0 {
 		t.Fatal("notifications while queue inactive")
 	}
@@ -96,9 +109,7 @@ func TestProcessChurnNotifiesUnderFirstTouch(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := g.Queue.Ops
-	if _, err := p.ChurnOnce(); err != nil {
-		t.Fatal(err)
-	}
+	churn()
 	// One alloc + one release notification per churn cycle (§4.2.3).
 	if g.Queue.Ops != before+2 {
 		t.Fatalf("ops = %d, want %d", g.Queue.Ops, before+2)

@@ -58,9 +58,6 @@ func New(topo *numa.Topology, cfg policy.Config) (*Backend, error) {
 // Name reports the platform and policy.
 func (b *Backend) Name() string { return "linux/" + b.cfg.String() }
 
-// Policy returns the active policy configuration.
-func (b *Backend) Policy() policy.Config { return b.cfg }
-
 // Place allocates n frames, asking the policy's native placer for each
 // page's preferred node (the toucher's node for first-touch, round-robin
 // for round-4K/interleave, …) and falling back round-robin when the

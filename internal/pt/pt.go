@@ -74,13 +74,6 @@ func (g *GuestTable) Reset() {
 // Len reports the number of present entries.
 func (g *GuestTable) Len() int { return len(g.entries) }
 
-// Walk calls fn for every present entry. Iteration order is unspecified.
-func (g *GuestTable) Walk(fn func(VPN, mem.PFN)) {
-	for v, p := range g.entries {
-		fn(v, p)
-	}
-}
-
 // HypervisorEntry is one hypervisor page-table entry for a physical page.
 type HypervisorEntry struct {
 	MFN          mem.MFN
@@ -231,10 +224,3 @@ func (h *HypervisorTable) Reset() {
 
 // Len reports the number of valid entries.
 func (h *HypervisorTable) Len() int { return len(h.entries) }
-
-// Walk calls fn for every valid entry. Iteration order is unspecified.
-func (h *HypervisorTable) Walk(fn func(mem.PFN, HypervisorEntry)) {
-	for p, e := range h.entries {
-		fn(p, e)
-	}
-}

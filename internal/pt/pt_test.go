@@ -147,23 +147,6 @@ func TestWriteProtectInvalidPanics(t *testing.T) {
 	h.WriteProtect(1)
 }
 
-func TestWalkVisitsAll(t *testing.T) {
-	h := NewHypervisorTable()
-	for p := mem.PFN(0); p < 100; p++ {
-		h.Map(p, mem.MFN(p*2))
-	}
-	count := 0
-	h.Walk(func(p mem.PFN, e HypervisorEntry) {
-		count++
-		if e.MFN != mem.MFN(p*2) {
-			t.Fatalf("entry %d has MFN %d", p, e.MFN)
-		}
-	})
-	if count != 100 {
-		t.Fatalf("walked %d entries", count)
-	}
-}
-
 // TestQuickMapInvalidate property-tests that map/invalidate keeps the
 // table consistent: an entry translates iff it was mapped after its last
 // invalidation.

@@ -55,6 +55,10 @@ func (k Kind) String() string {
 // Event is one recorded occurrence. Arg0/Arg1 are kind-specific (e.g.
 // PFN and node for a migration).
 type Event struct {
+	// Time is the hypervisor clock (xen.Hypervisor.Eng) at the event.
+	// The epoch engine keeps its own virtual time and does not advance
+	// that clock, so events carry time 0 until a trace surface wires
+	// the two together.
 	Time sim.Time
 	Kind Kind
 	Dom  int

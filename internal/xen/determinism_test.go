@@ -9,12 +9,12 @@ import (
 	"repro/internal/sim"
 )
 
-// postDestroyAllocSequence boots a hypervisor, creates and destroys a
-// 4K-mapped domain, then records the machine-frame sequence the buddy
-// allocator hands out afterwards. Destroying the domain frees every
-// owned page, and each Free reshapes the buddy free lists — so the
-// recorded sequence is a fingerprint of the order releaseFrames walked
-// ownedPages in.
+// postDestroyAllocSequence boots a hypervisor, creates a 4K-mapped
+// domain and releases its frames, then records the machine-frame
+// sequence the buddy allocator hands out afterwards. Releasing the
+// domain frees every owned page, and each Free reshapes the buddy free
+// lists — so the recorded sequence is a fingerprint of the order
+// releaseFrames walked ownedPages in.
 func postDestroyAllocSequence(t *testing.T) []mem.MFN {
 	t.Helper()
 	topo := numa.SmallMachine(4, 4, 64<<20)
@@ -30,7 +30,7 @@ func postDestroyAllocSequence(t *testing.T) []mem.MFN {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hv.DestroyDomain(d.ID)
+	d.releaseFrames()
 
 	var seq []mem.MFN
 	for node := numa.NodeID(0); node < 4; node++ {
@@ -48,8 +48,9 @@ func postDestroyAllocSequence(t *testing.T) []mem.MFN {
 // TestDestroyDomainDeterministic is the regression test for the
 // releaseFrames map-order bug found by the maporder analyzer: freeing
 // ownedPages in map iteration order left the buddy allocator in a
-// run-dependent state, so every allocation after a domain destroy was
-// nondeterministic. Two identical runs must now hand out identical
+// run-dependent state, so every allocation after a domain teardown was
+// nondeterministic. releaseFrames is still the teardown of CreateDomain's
+// populate-failure path. Two identical runs must now hand out identical
 // frame sequences.
 func TestDestroyDomainDeterministic(t *testing.T) {
 	a := postDestroyAllocSequence(t)

@@ -42,14 +42,8 @@ type Domain struct {
 	// dynamic policy can track page liveness. Set by package carrefour.
 	CarrefourHook func(ops []policy.PageOp)
 
-	// grants is the domain's grant table (nil until NewGrantTable);
-	// pinned counts outstanding grant mappings per page — pinned pages
-	// cannot be migrated or invalidated while a DMA may target them.
-	grants *GrantTable
-	pinned map[mem.PFN]int
-
-	// frames tracks every machine allocation backing this domain so the
-	// memory can be returned on destroy. Blocks allocated at order > 0
+	// frames tracks every machine allocation backing this domain so
+	// releaseFrames can return the memory. Blocks allocated at order > 0
 	// (round-1G regions) are recorded once.
 	frames []frameAlloc
 	// frameOf mirrors the hypervisor table for 4 KiB-grained ownership:
@@ -99,7 +93,6 @@ func newDomain(h *Hypervisor, id DomID, spec DomainSpec, pins []numa.CPUID, boot
 		d = &Domain{
 			table:      pt.NewHypervisorTable(),
 			ownedPages: make(map[mem.PFN]mem.MFN),
-			pinned:     make(map[mem.PFN]int),
 		}
 	}
 	d.ID = id
@@ -145,11 +138,9 @@ func newDomain(h *Hypervisor, id DomID, spec DomainSpec, pins []numa.CPUID, boot
 func (d *Domain) recycleShell() {
 	d.table.Reset()
 	clear(d.ownedPages)
-	clear(d.pinned)
 	d.frames = d.frames[:0]
 	d.VCPUs = d.VCPUs[:0]
 	d.homes = d.homes[:0]
-	d.grants = nil
 	d.CarrefourHook = nil
 	d.OnPlace, d.OnInvalidate = nil, nil
 	d.bootPlacer, d.pol = nil, nil
@@ -175,11 +166,11 @@ func (d *Domain) populate() error {
 	return d.bootPlacer(d)
 }
 
-// releaseFrames returns all machine memory to the allocator. Frames are
-// freed in ascending PFN order: each Free reshapes the buddy free
-// lists, so freeing in map order would leave the allocator in a
-// run-dependent state and make every allocation after a domain destroy
-// nondeterministic.
+// releaseFrames returns all machine memory to the allocator; CreateDomain
+// calls it when populating a domain fails. Frames are freed in ascending
+// PFN order: each Free reshapes the buddy free lists, so freeing in map
+// order would leave the allocator in a run-dependent state and make every
+// later allocation nondeterministic.
 func (d *Domain) releaseFrames() {
 	for _, f := range d.frames {
 		d.hv.Alloc.Free(f.mfn, f.order)
@@ -275,12 +266,6 @@ func (d *Domain) MapPage(pfn mem.PFN, mfn mem.MFN) {
 // InvalidatePage clears pfn's entry and frees its frame; the next access
 // faults into the policy. Part of the first-touch implementation.
 func (d *Domain) InvalidatePage(pfn mem.PFN) {
-	if d.pinned[pfn] > 0 {
-		// A DMA may target this page through an outstanding grant
-		// mapping; invalidating it would abort the transfer through the
-		// IOMMU (§4.4.1). Leave it mapped.
-		return
-	}
 	old := d.table.Invalidate(pfn)
 	if old == mem.NoMFN {
 		return
@@ -304,9 +289,6 @@ func (d *Domain) InvalidatePage(pfn mem.PFN) {
 // write-protect the entry, copy the page, remap it on the target node and
 // free the old frame (§4.1). It reports whether the page moved.
 func (d *Domain) MigratePage(pfn mem.PFN, to numa.NodeID) bool {
-	if d.pinned[pfn] > 0 {
-		return false // granted I/O buffer: the frame must not move
-	}
 	e := d.table.Lookup(pfn)
 	if !e.Valid {
 		return false

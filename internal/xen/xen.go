@@ -108,8 +108,9 @@ type Hypervisor struct {
 	// policy switches.
 	Trace *trace.Ring
 
-	domains map[DomID]*Domain
-	nextID  DomID
+	// domains is indexed by DomID: IDs are handed out densely by
+	// CreateDomain, and Reset truncates back to dom0.
+	domains []*Domain
 	// cpuUse counts vCPUs assigned to each physical CPU (several in
 	// consolidated setups).
 	cpuUse []int
@@ -136,12 +137,11 @@ type Hypervisor struct {
 // placed on node 0.
 func New(topo *numa.Topology, eng *sim.Engine, cfg Config, dom0MemBytes int64) (*Hypervisor, error) {
 	h := &Hypervisor{
-		Topo:    topo,
-		Alloc:   mem.NewAllocator(topo),
-		Eng:     eng,
-		Cfg:     cfg,
-		domains: make(map[DomID]*Domain),
-		cpuUse:  make([]int, topo.NumCPUs()),
+		Topo:   topo,
+		Alloc:  mem.NewAllocator(topo),
+		Eng:    eng,
+		Cfg:    cfg,
+		cpuUse: make([]int, topo.NumCPUs()),
 	}
 	spec := DomainSpec{
 		Name:     "dom0",
@@ -154,22 +154,6 @@ func New(topo *numa.Topology, eng *sim.Engine, cfg Config, dom0MemBytes int64) (
 		return nil, fmt.Errorf("xen: creating dom0: %w", err)
 	}
 	return h, nil
-}
-
-// Dom0 returns the control domain.
-func (h *Hypervisor) Dom0() *Domain { return h.domains[0] }
-
-// Domain returns the domain with the given id, or nil.
-func (h *Hypervisor) Domain(id DomID) *Domain { return h.domains[id] }
-
-// Domains returns all live domains sorted by id.
-func (h *Hypervisor) Domains() []*Domain {
-	out := make([]*Domain, 0, len(h.domains))
-	for _, d := range h.domains { //xnuma:maporder-ok collected set is order-free and fully sorted by unique domain ID below
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
 // DomainSpec describes a domain to create.
@@ -227,13 +211,12 @@ func (h *Hypervisor) CreateDomain(spec DomainSpec) (*Domain, error) {
 	} else if len(pins) != spec.VCPUs {
 		return nil, fmt.Errorf("xen: %d pins for %d vCPUs", len(pins), spec.VCPUs)
 	}
-	d := newDomain(h, h.nextID, spec, pins, bdesc.Boot, pol)
+	d := newDomain(h, DomID(len(h.domains)), spec, pins, bdesc.Boot, pol)
 	if err := d.populate(); err != nil {
 		d.releaseFrames()
 		return nil, fmt.Errorf("xen: populating domain %q: %w", spec.Name, err)
 	}
-	h.nextID++
-	h.domains[d.ID] = d
+	h.domains = append(h.domains, d)
 	// Dom0 is mostly idle (it only backs I/O) and the paper pins it to
 	// node 0 alongside guest vCPUs; it does not count against CPU
 	// shares.
@@ -243,21 +226,6 @@ func (h *Hypervisor) CreateDomain(spec DomainSpec) (*Domain, error) {
 		}
 	}
 	return d, nil
-}
-
-// DestroyDomain tears a domain down and releases its memory and CPUs.
-func (h *Hypervisor) DestroyDomain(id DomID) {
-	d, ok := h.domains[id]
-	if !ok {
-		panic(fmt.Sprintf("xen: destroying unknown domain %d", id))
-	}
-	d.releaseFrames()
-	if d.ID != 0 {
-		for _, v := range d.VCPUs {
-			h.cpuUse[v.PCPU]--
-		}
-	}
-	delete(h.domains, id)
 }
 
 // packVCPUs implements the home-node packing of §3.3: pick the minimal
@@ -340,16 +308,12 @@ func (h *Hypervisor) takeShell() *Domain {
 // Reset errored is no longer bit-identical to a cold boot and must be
 // discarded (the warm pool drops it and cold-builds).
 func (h *Hypervisor) Reset() error {
-	for id := DomID(1); id < h.nextID; id++ {
-		d, ok := h.domains[id]
-		if !ok {
-			continue
-		}
+	for _, d := range h.domains[1:] {
 		d.recycleShell()
 		h.shells = append(h.shells, d)
-		delete(h.domains, id)
 	}
-	h.nextID = 1
+	clear(h.domains[1:])
+	h.domains = h.domains[:1]
 	for i := range h.cpuUse {
 		h.cpuUse[i] = 0
 	}

@@ -108,15 +108,6 @@ func (p *Pool) release(key poolKey, m *machine) {
 	p.free[key] = append(p.free[key], m)
 }
 
-// pool returns the effective pool for the run: nil when none is
-// attached or the NoPool reference path is selected.
-func (o Options) pool() *Pool {
-	if o.NoPool {
-		return nil
-	}
-	return o.Pool
-}
-
 // acquire produces the run's machine: a reset warm one when the pool
 // has a matching shape, a cold-built one otherwise. A leased machine
 // whose reset fails — a replay divergence, a panic anywhere in the
@@ -125,7 +116,7 @@ func (o Options) pool() *Pool {
 // never reaches the caller, and results stay bit-identical because a
 // cold-built machine is the reference the reset protocol reproduces.
 func acquire(o Options, key poolKey) (*machine, error) {
-	p := o.pool()
+	p := o.Pool
 	if p != nil {
 		if m := p.lease(key); m != nil {
 			if err := resetMachine(m); err == nil {
@@ -164,7 +155,7 @@ func resetMachine(m *machine) (err error) {
 // of runs that failed mid-build are dropped instead: their state is
 // neither pristine nor resettable-by-construction.
 func releaseMachine(o Options, key poolKey, m *machine) {
-	if p := o.pool(); p != nil {
+	if p := o.Pool; p != nil {
 		p.release(key, m)
 	}
 }

@@ -35,7 +35,7 @@ func BenchmarkCellConstruction(b *testing.B) {
 		}
 	}
 	b.Run("fresh", func(b *testing.B) {
-		run(b, Options{Scale: 256, XenPlus: true, NoPool: true})
+		run(b, Options{Scale: 256, XenPlus: true})
 	})
 	b.Run("pooled", func(b *testing.B) {
 		run(b, Options{Scale: 256, XenPlus: true, Pool: NewPool()})

@@ -101,12 +101,10 @@ type Options struct {
 	// leases a pre-built machine of matching shape, resets it and
 	// rebuilds only the seed/app/policy-dependent state, returning it on
 	// completion. Results are bit-for-bit identical with or without a
-	// pool. Sweeps attach one per suite.
+	// pool. Sweeps attach one per suite. Left nil, every run cold-builds
+	// its machine: the fresh-build reference path the pooled-vs-fresh
+	// equivalence tests pin against.
 	Pool *Pool
-	// NoPool forces cold-built machines even when Pool is set — the
-	// always-fresh reference path the pooled-vs-fresh equivalence tests
-	// pin against, mirroring noBatch.
-	NoPool bool
 	// noBatch selects the engine's per-instance reference kernel, for
 	// the batched-kernel equivalence tests. Unexported on purpose: it is
 	// bit-for-bit identical to the default, just slower.
