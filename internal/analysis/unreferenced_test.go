@@ -3,6 +3,7 @@ package analysis
 import (
 	"bufio"
 	"go/ast"
+	"go/token"
 	"go/types"
 	"os"
 	"path"
@@ -16,8 +17,9 @@ import (
 // TestNoUnreferencedCode keeps production code that only tests reach
 // from accumulating. It loads every package of the module plus the
 // separate perfbench module (non-test files only) and fails on any
-// function or method declared in the module that no non-test file
-// references, outside its own body.
+// function, method or package-level type declared in the module that no
+// non-test file references, outside its own body. A type's own body
+// includes its methods: a receiver does not count as a use.
 //
 // Exempt are main and init, and methods that satisfy an interface
 // declared in the module or in a package it imports (the standard
@@ -82,13 +84,57 @@ func TestNoUnreferencedCode(t *testing.T) {
 		}
 		return pkg + "." + fn.Name(), true
 	}
+	typeSymbol := func(tn *types.TypeName) (string, bool) {
+		if tn.Pkg() == nil || tn.Parent() != tn.Pkg().Scope() {
+			return "", false // predeclared, local or a type parameter
+		}
+		pkg, ok := shortPkg[tn.Pkg().Path()]
+		if !ok {
+			return "", false
+		}
+		return pkg + "." + tn.Name(), true
+	}
+	// receiverType names the type whose method fn is ("" for functions).
+	receiverType := func(fn *types.Func) string {
+		recv := fn.Type().(*types.Signature).Recv()
+		if recv == nil {
+			return ""
+		}
+		rt := recv.Type()
+		if p, ok := rt.(*types.Pointer); ok {
+			rt = p.Elem()
+		}
+		if named, ok := rt.(*types.Named); ok {
+			sym, _ := typeSymbol(named.Obj())
+			return sym
+		}
+		return ""
+	}
 
 	ifaces := interfaces(mod)
 
 	declared := map[string]string{} // symbol -> declaration position
 	for _, pkg := range mod {
+		declare := func(sym string, name *ast.Ident) {
+			pos := pkg.Fset.Position(name.Pos())
+			if rel, err := filepath.Rel(root, pos.Filename); err == nil {
+				pos.Filename = rel
+			}
+			declared[sym] = pos.String()
+		}
 		for _, f := range pkg.Files {
 			for _, d := range f.Decls {
+				if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.TYPE {
+					for _, spec := range gd.Specs {
+						ts := spec.(*ast.TypeSpec)
+						if tn, ok := pkg.Info.Defs[ts.Name].(*types.TypeName); ok {
+							if sym, ok := typeSymbol(tn); ok {
+								declare(sym, ts.Name)
+							}
+						}
+					}
+					continue
+				}
 				fd, ok := d.(*ast.FuncDecl)
 				if !ok || fd.Recv == nil && (fd.Name.Name == "main" || fd.Name.Name == "init") {
 					continue
@@ -98,11 +144,7 @@ func TestNoUnreferencedCode(t *testing.T) {
 					continue
 				}
 				if sym, ok := symbol(fn); ok && !satisfiesInterface(fn, ifaces) {
-					pos := pkg.Fset.Position(fd.Name.Pos())
-					if rel, err := filepath.Rel(root, pos.Filename); err == nil {
-						pos.Filename = rel
-					}
-					declared[sym] = pos.String()
+					declare(sym, fd.Name)
 				}
 			}
 		}
@@ -110,26 +152,48 @@ func TestNoUnreferencedCode(t *testing.T) {
 
 	referenced := map[string]bool{}
 	for _, pkg := range slices.Concat(mod, bench) {
+		// visit records the symbols n uses, except self and selfType:
+		// the function or type whose own declaration n is.
+		visit := func(n ast.Node, self, selfType string) {
+			ast.Inspect(n, func(n ast.Node) bool {
+				id, ok := n.(*ast.Ident)
+				if !ok {
+					return true
+				}
+				sym, ok := "", false
+				switch obj := pkg.Info.Uses[id].(type) {
+				case *types.Func:
+					sym, ok = symbol(obj)
+				case *types.TypeName:
+					sym, ok = typeSymbol(obj)
+				}
+				if ok && sym != self && sym != selfType {
+					referenced[sym] = true
+				}
+				return true
+			})
+		}
 		for _, f := range pkg.Files {
 			for _, d := range f.Decls {
-				self := ""
-				if fd, ok := d.(*ast.FuncDecl); ok {
-					if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					self, selfType := "", ""
+					if fn, ok := pkg.Info.Defs[d.Name].(*types.Func); ok {
 						self, _ = symbol(fn)
+						selfType = receiverType(fn)
+					}
+					visit(d, self, selfType)
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						selfType := ""
+						if ts, ok := spec.(*ast.TypeSpec); ok {
+							if tn, ok := pkg.Info.Defs[ts.Name].(*types.TypeName); ok {
+								selfType, _ = typeSymbol(tn)
+							}
+						}
+						visit(spec, "", selfType)
 					}
 				}
-				ast.Inspect(d, func(n ast.Node) bool {
-					id, ok := n.(*ast.Ident)
-					if !ok {
-						return true
-					}
-					if fn, ok := pkg.Info.Uses[id].(*types.Func); ok {
-						if sym, ok := symbol(fn); ok && sym != self {
-							referenced[sym] = true
-						}
-					}
-					return true
-				})
 			}
 		}
 	}

@@ -404,9 +404,11 @@ type Instance struct {
 	done       bool
 	Completion sim.Time
 
-	// pending migration traffic (bytes between node pairs) charged to
-	// the next epoch's load.
-	pendingMoveBytes map[[2]numa.NodeID]float64
+	// pending migration traffic (bytes between node pairs, indexed
+	// src*nodes+dst) charged to the next epoch's load; movesPending is
+	// set while any pair is nonzero.
+	pendingMoveBytes []float64
+	movesPending     bool
 
 	// recycled marks an instance handed back by a warm-pool lease:
 	// Run's setup rebuilds its threads and regions in place, keeping

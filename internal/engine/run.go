@@ -144,13 +144,12 @@ type runner struct {
 
 	// Scratch buffers, reused so steady-state epochs allocate nothing.
 	//xnuma:scratch
-	movePairs  [][2]numa.NodeID // sorted pendingMoveBytes keys
-	tickUtil   []float64        // controller-utilization copy for Carrefour ticks
-	cycles     []float64        // per-(src,dst) access cost, filled each iteration
-	linkUtil   []float64        // per-link utilization snapshot, one per iteration
-	ctrlPen    []float64        // per-destination controller penalty, one per iteration
-	groupUnits []float64        // per-dedup-group work units, summed each fill
-	groupCyc   []float64        // per-dedup-group access cycles, one per iteration
+	tickUtil   []float64 // controller-utilization copy for Carrefour ticks
+	cycles     []float64 // per-(src,dst) access cost, filled each iteration
+	linkUtil   []float64 // per-link utilization snapshot, one per iteration
+	ctrlPen    []float64 // per-destination controller penalty, one per iteration
+	groupUnits []float64 // per-dedup-group work units, summed each fill
+	groupCyc   []float64 // per-dedup-group access cycles, one per iteration
 
 	// Carrefour-tick scratch: the tick rebuilds the sampler view from
 	// the stream table every interval, so the backing stores are reused.
@@ -304,7 +303,8 @@ func (r *runner) buildInstance(in *Instance) error {
 	// different thread count) rebuilds its storage above but would
 	// otherwise keep done/Completion/burst state from its previous run.
 	// For never-run instances this is a no-op.
-	clear(in.pendingMoveBytes)
+	in.pendingMoveBytes = append(in.pendingMoveBytes[:0], make([]float64, nNodes*nNodes)...)
+	in.movesPending = false
 	in.burstLeft, in.burstNode, in.burstRegion = 0, 0, nil
 	in.done, in.Completion = false, 0
 	in.foldSum, in.foldLive, in.foldValid = 0, 0, false
@@ -365,9 +365,6 @@ func (r *runner) buildInstance(in *Instance) error {
 		BufferNode: r.cfg.Disk.Node,
 		HomeNodes:  in.Backend.HomeNodes(),
 		Penalty:    in.Prof.IOPenalty,
-	}
-	if in.pendingMoveBytes == nil {
-		in.pendingMoveBytes = make(map[[2]numa.NodeID]float64)
 	}
 	return nil
 }
@@ -479,7 +476,7 @@ func (r *runner) epoch(step int) {
 		if in.done {
 			continue
 		}
-		if in.burstLeft > 0 || len(in.pendingMoveBytes) > 0 {
+		if in.burstLeft > 0 || in.movesPending {
 			candidate = false
 			break
 		}
@@ -622,23 +619,23 @@ func (r *runner) fillLoads(record bool) {
 			}
 		}
 		// Page-migration copy traffic from the previous Carrefour tick,
-		// charged in sorted key order: different pairs share interconnect
-		// links, and float accumulation must not depend on map iteration
-		// order for runs to be bit-for-bit reproducible.
-		if len(in.pendingMoveBytes) > 0 {
-			pairs := r.movePairs[:0] //xnuma:scratch
-			for pair := range in.pendingMoveBytes {
-				pairs = append(pairs, pair)
-			}
-			r.movePairs = pairs
-			sortMovePairs(pairs)
-			for _, pair := range pairs {
-				bytes := in.pendingMoveBytes[pair]
-				r.load.AddDMA(pair[0], pair[1], bytes)
-				if record {
-					il.AddDMA(pair[0], pair[1], bytes)
-					delete(in.pendingMoveBytes, pair)
+		// charged in (src, dst) order: different pairs share interconnect
+		// links, so the float accumulation order is fixed for runs to be
+		// bit-for-bit reproducible.
+		if in.movesPending {
+			for k, bytes := range in.pendingMoveBytes {
+				if bytes == 0 {
+					continue
 				}
+				src, dst := numa.NodeID(k/nn), numa.NodeID(k%nn)
+				r.load.AddDMA(src, dst, bytes)
+				if record {
+					il.AddDMA(src, dst, bytes)
+					in.pendingMoveBytes[k] = 0
+				}
+			}
+			if record {
+				in.movesPending = false
 			}
 		}
 	}
@@ -892,7 +889,8 @@ func (r *runner) carrefourTick(i int, in *Instance) {
 	// bytes to the next epoch and the CPU cost as debt spread across the
 	// instance's threads.
 	for _, mv := range r.moves {
-		in.pendingMoveBytes[[2]numa.NodeID{mv.From, mv.To}] += 4096
+		in.pendingMoveBytes[int(mv.From)*r.nNodes+int(mv.To)] += 4096
+		in.movesPending = true
 	}
 	costNs := float64(res.Migrated) * 6000 / float64(in.NThreads)
 	for _, t := range in.Threads {
@@ -1002,24 +1000,6 @@ func (r *runner) mkSample(set *pageSet, in *Instance, reg *Region, share float64
 		Accessors:   accessors,
 		Hot:         hot,
 		ReadOnly:    hot && in.Prof.ReadFrac >= 0.7,
-	}
-}
-
-// sortMovePairs orders (src, dst) node pairs lexicographically with an
-// insertion sort: the pair count is at most nNodes², and sort.Slice
-// would allocate on the hot path (a closure plus boxing the slice into
-// its interface parameter).
-//
-//xnuma:noalloc
-func sortMovePairs(pairs [][2]numa.NodeID) {
-	for i := 1; i < len(pairs); i++ {
-		p := pairs[i]
-		j := i - 1
-		for j >= 0 && (pairs[j][0] > p[0] || (pairs[j][0] == p[0] && pairs[j][1] > p[1])) {
-			pairs[j+1] = pairs[j]
-			j--
-		}
-		pairs[j+1] = p
 	}
 }
 

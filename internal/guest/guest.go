@@ -32,23 +32,16 @@ const (
 type PhysAlloc struct {
 	totalPages uint64
 	nextFresh  uint64
-	reserved   uint64 // kernel pages at the bottom of the space
 	freed      []mem.PFN
-	inUse      map[mem.PFN]bool
+	inUse      []bool // indexed by PFN
 }
 
 // NewPhysAlloc manages a physical space of totalPages, with the first
 // reserved pages considered kernel-owned and never handed out.
 func NewPhysAlloc(totalPages, reserved uint64) *PhysAlloc {
-	if reserved >= totalPages {
-		panic("guest: reserved pages exceed physical space")
-	}
-	return &PhysAlloc{
-		totalPages: totalPages,
-		nextFresh:  reserved,
-		reserved:   reserved,
-		inUse:      make(map[mem.PFN]bool),
-	}
+	a := &PhysAlloc{}
+	a.Reset(totalPages, reserved)
+	return a
 }
 
 // Alloc returns one free physical page.
@@ -70,28 +63,35 @@ func (a *PhysAlloc) Alloc() (mem.PFN, error) {
 
 // Free returns a page to the free list.
 func (a *PhysAlloc) Free(p mem.PFN) {
-	if !a.inUse[p] {
+	if uint64(p) >= a.totalPages || !a.inUse[p] {
 		panic(fmt.Sprintf("guest: freeing page %d not in use", p))
 	}
-	delete(a.inUse, p)
+	a.inUse[p] = false
 	a.freed = append(a.freed, p)
 }
 
 // InUse reports the number of allocated pages.
-func (a *PhysAlloc) InUse() int { return len(a.inUse) }
+func (a *PhysAlloc) InUse() int {
+	n := 0
+	for _, used := range a.inUse {
+		if used {
+			n++
+		}
+	}
+	return n
+}
 
 // Reset returns the allocator to its just-constructed state for a new
 // physical space of totalPages with the given kernel reservation,
-// keeping the freed-list capacity and in-use map buckets.
+// keeping the storage of the freed list and the in-use flags.
 func (a *PhysAlloc) Reset(totalPages, reserved uint64) {
 	if reserved >= totalPages {
 		panic("guest: reserved pages exceed physical space")
 	}
 	a.totalPages = totalPages
 	a.nextFresh = reserved
-	a.reserved = reserved
 	a.freed = a.freed[:0]
-	clear(a.inUse)
+	a.inUse = append(a.inUse[:0], make([]bool, totalPages)...)
 }
 
 // FreePages returns every currently-free page: the freed list plus all

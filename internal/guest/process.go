@@ -38,7 +38,7 @@ func (g *OS) NewProcess(pid int) *Process {
 }
 
 // reset rebinds the process to a rebooted guest with an empty address
-// space, keeping the page-table buckets and mapping-map storage.
+// space, keeping the page-table and mapping-map storage.
 func (p *Process) reset(g *OS) {
 	p.os = g
 	p.table.Reset()

@@ -185,8 +185,16 @@ func (a *Allocator) Free(mfn MFN, order int) {
 	if uint64(mfn)%FramesOf(order) != 0 {
 		panic(fmt.Sprintf("mem: freeing misaligned block %d at order %d", mfn, order))
 	}
-	if _, already := na.freeSet[mfn]; already {
-		panic(fmt.Sprintf("mem: double free of MFN %d", mfn))
+	// The block must not be free already: neither a free block's head nor
+	// inside a larger free block that coalescing built around it, found
+	// by probing the aligned head at each higher order holding blocks.
+	for o := order; o <= maxOrder; o++ {
+		if o > order && len(na.freeList[o]) == 0 {
+			continue
+		}
+		if ho, free := na.freeSet[mfn&^MFN(FramesOf(o)-1)]; free && (o == order || ho == o) {
+			panic(fmt.Sprintf("mem: double free of MFN %d", mfn))
+		}
 	}
 	na.freeBytes += int64(FramesOf(order)) * PageSize
 	// Coalesce upward while the buddy is free at the same order and the

@@ -132,6 +132,31 @@ func TestDoubleFreePanics(t *testing.T) {
 	a.Free(mfn, Order4K)
 }
 
+// TestDoubleFreeInsideCoalescedBlockPanics frees two buddy frames, which
+// merge into one order-1 block, then frees the second frame again. Its
+// own address is no longer a free block's head, so the free used to be
+// accepted and the node reported more free bytes than its bank holds.
+func TestDoubleFreeInsideCoalescedBlockPanics(t *testing.T) {
+	a := NewAllocator(numa.SmallMachine(1, 1, 64<<20))
+	f0, _ := a.Alloc(0, Order4K)
+	f1, _ := a.Alloc(0, Order4K)
+	if f1 != f0^1 {
+		t.Fatalf("frames %d and %d are not buddies", f0, f1)
+	}
+	a.Free(f0, Order4K)
+	a.Free(f1, Order4K)
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("second free of MFN %d accepted: node reports %d free bytes on a %d-byte bank",
+				f1, a.FreeBytes(0), int64(64<<20))
+		}
+		if got := a.FreeBytes(0); got != 64<<20 {
+			t.Fatalf("free bytes after rejected double free = %d, want %d", got, int64(64<<20))
+		}
+	}()
+	a.Free(f1, Order4K)
+}
+
 func TestMisalignedFreePanics(t *testing.T) {
 	a := testAlloc(t)
 	mfn, _ := a.Alloc(0, Order2M)

@@ -27,58 +27,76 @@ type GuestEntry struct {
 
 // GuestTable maps the virtual pages of a single process to physical pages
 // of its virtual machine. The guest OS populates it lazily (first-touch
-// faulting happens in the guest, not here).
+// faulting happens in the guest, not here). Entries are indexed by VPN:
+// an address space grows up from VPN 0, so the table is dense.
 type GuestTable struct {
-	entries map[VPN]mem.PFN
+	entries []GuestEntry
+	present int
 }
 
 // NewGuestTable returns an empty table.
-func NewGuestTable() *GuestTable {
-	return &GuestTable{entries: make(map[VPN]mem.PFN)}
-}
+func NewGuestTable() *GuestTable { return &GuestTable{} }
 
 // Lookup translates a virtual page; ok is false on a guest page fault.
 func (g *GuestTable) Lookup(v VPN) (mem.PFN, bool) {
-	p, ok := g.entries[v]
-	return p, ok
+	if uint64(v) >= uint64(len(g.entries)) {
+		return 0, false
+	}
+	e := g.entries[v]
+	return e.PFN, e.Present
 }
 
 // Map installs a translation. Mapping an already-present entry panics:
 // the guest OS must unmap first (it indicates an allocator bug).
 func (g *GuestTable) Map(v VPN, p mem.PFN) {
-	if old, ok := g.entries[v]; ok {
+	if old, ok := g.Lookup(v); ok {
 		panic(fmt.Sprintf("pt: VPN %d already mapped to PFN %d", v, old))
 	}
-	g.entries[v] = p
+	g.entries = extend(g.entries, uint64(v))
+	g.entries[v] = GuestEntry{PFN: p, Present: true}
+	g.present++
 }
 
 // Unmap removes a translation and returns the physical page it pointed
 // to. Unmapping an absent entry panics.
 func (g *GuestTable) Unmap(v VPN) mem.PFN {
-	p, ok := g.entries[v]
+	p, ok := g.Lookup(v)
 	if !ok {
 		panic(fmt.Sprintf("pt: VPN %d not mapped", v))
 	}
-	delete(g.entries, v)
+	g.entries[v] = GuestEntry{}
+	g.present--
 	return p
 }
 
-// Reset returns the table to its freshly constructed state. The entry
-// storage is kept: clearing a Go map retains its buckets, so a recycled
-// table refilled to a similar size allocates nothing — the point of
-// reusing tables across warm-pool leases instead of rebuilding them.
+// Reset returns the table to its freshly constructed state, keeping the
+// entry storage for the next lease's refill.
 func (g *GuestTable) Reset() {
-	clear(g.entries)
+	g.entries = g.entries[:0]
+	g.present = 0
 }
 
 // Len reports the number of present entries.
-func (g *GuestTable) Len() int { return len(g.entries) }
+func (g *GuestTable) Len() int { return g.present }
+
+// extend grows s with zero entries until index i is in range. Growth
+// appends, so a table filled in index order doubles its storage like any
+// slice, and a truncated table reuses its storage zeroed.
+func extend[E any](s []E, i uint64) []E {
+	if i < uint64(len(s)) {
+		return s
+	}
+	return append(s, make([]E, i+1-uint64(len(s)))...)
+}
 
 // HypervisorEntry is one hypervisor page-table entry for a physical page.
 type HypervisorEntry struct {
 	MFN          mem.MFN
 	Valid        bool
 	WriteProtect bool
+	// Owned is a software bit, like a spare bit of a Xen p2m entry: MFN
+	// was allocated for this page alone and is freed with the mapping.
+	Owned bool
 }
 
 // FaultKind distinguishes hypervisor page faults.
@@ -110,8 +128,10 @@ func (k FaultKind) String() string {
 type FaultHandler func(pfn mem.PFN, write bool, kind FaultKind)
 
 // HypervisorTable maps one domain's physical pages to machine frames.
+// Entries are indexed by PFN, as Xen keeps its p2m; an entry past the
+// end of the slice reads as invalid.
 type HypervisorTable struct {
-	entries map[mem.PFN]HypervisorEntry
+	entries []HypervisorEntry
 	handler FaultHandler
 
 	// Counters for the evaluation.
@@ -121,55 +141,59 @@ type HypervisorTable struct {
 
 // NewHypervisorTable returns an empty table with no fault handler; every
 // entry is invalid until mapped.
-func NewHypervisorTable() *HypervisorTable {
-	return &HypervisorTable{entries: make(map[mem.PFN]HypervisorEntry)}
-}
+func NewHypervisorTable() *HypervisorTable { return &HypervisorTable{} }
 
 // SetFaultHandler installs the fault resolution hook (the active NUMA
 // policy registers itself here).
 func (h *HypervisorTable) SetFaultHandler(fn FaultHandler) { h.handler = fn }
 
-// Lookup returns the entry for pfn (zero entry when absent).
+// Lookup returns the entry for pfn (zero entry when invalid).
 func (h *HypervisorTable) Lookup(pfn mem.PFN) HypervisorEntry {
+	if uint64(pfn) >= uint64(len(h.entries)) {
+		return HypervisorEntry{}
+	}
 	return h.entries[pfn]
 }
 
 // Map installs pfn→mfn, overwriting any previous entry. The entry becomes
-// valid and writable.
+// valid and writable, with the ownership bit clear.
 func (h *HypervisorTable) Map(pfn mem.PFN, mfn mem.MFN) {
+	h.entries = extend(h.entries, uint64(pfn))
 	h.entries[pfn] = HypervisorEntry{MFN: mfn, Valid: true}
+}
+
+// MapOwned is Map with the ownership bit set.
+func (h *HypervisorTable) MapOwned(pfn mem.PFN, mfn mem.MFN) {
+	h.entries = extend(h.entries, uint64(pfn))
+	h.entries[pfn] = HypervisorEntry{MFN: mfn, Valid: true, Owned: true}
 }
 
 // Invalidate clears the entry for pfn and returns the machine frame it
 // held (NoMFN when it was already invalid). Subsequent accesses fault.
 func (h *HypervisorTable) Invalidate(pfn mem.PFN) mem.MFN {
-	e, ok := h.entries[pfn]
-	if !ok || !e.Valid {
+	e := h.Lookup(pfn)
+	if !e.Valid {
 		return mem.NoMFN
 	}
-	delete(h.entries, pfn)
+	h.entries[pfn] = HypervisorEntry{}
 	return e.MFN
 }
 
 // WriteProtect marks pfn's entry read-only. It panics on invalid entries:
 // migration must only target mapped pages.
 func (h *HypervisorTable) WriteProtect(pfn mem.PFN) {
-	e, ok := h.entries[pfn]
-	if !ok || !e.Valid {
+	if !h.Lookup(pfn).Valid {
 		panic(fmt.Sprintf("pt: write-protecting invalid PFN %d", pfn))
 	}
-	e.WriteProtect = true
-	h.entries[pfn] = e
+	h.entries[pfn].WriteProtect = true
 }
 
 // Unprotect clears the write-protect bit.
 func (h *HypervisorTable) Unprotect(pfn mem.PFN) {
-	e, ok := h.entries[pfn]
-	if !ok || !e.Valid {
+	if !h.Lookup(pfn).Valid {
 		panic(fmt.Sprintf("pt: unprotecting invalid PFN %d", pfn))
 	}
-	e.WriteProtect = false
-	h.entries[pfn] = e
+	h.entries[pfn].WriteProtect = false
 }
 
 // Translate resolves pfn for an access, delivering hypervisor page faults
@@ -180,7 +204,7 @@ func (h *HypervisorTable) Translate(pfn mem.PFN, write bool) mem.MFN {
 		if attempt > 2 {
 			panic(fmt.Sprintf("pt: fault handler did not resolve PFN %d", pfn))
 		}
-		e := h.entries[pfn]
+		e := h.Lookup(pfn)
 		if !e.Valid {
 			h.Faults++
 			if h.handler == nil {
@@ -205,7 +229,7 @@ func (h *HypervisorTable) Translate(pfn mem.PFN, write bool) mem.MFN {
 // does: devices cannot wait for software fault resolution (§4.4.1).
 // ok is false on an invalid entry, which aborts the DMA.
 func (h *HypervisorTable) TranslateNoFault(pfn mem.PFN) (mem.MFN, bool) {
-	e := h.entries[pfn]
+	e := h.Lookup(pfn)
 	if !e.Valid {
 		return mem.NoMFN, false
 	}
@@ -214,13 +238,20 @@ func (h *HypervisorTable) TranslateNoFault(pfn mem.PFN) (mem.MFN, bool) {
 
 // Reset returns the table to its freshly constructed state — no
 // entries, no fault handler, zeroed counters — keeping the entry
-// storage (map buckets) so a recycled domain's table refills without
-// rehashing.
+// storage for the next lease's refill.
 func (h *HypervisorTable) Reset() {
-	clear(h.entries)
+	h.entries = h.entries[:0]
 	h.handler = nil
 	h.Faults, h.WriteProtFaults = 0, 0
 }
 
 // Len reports the number of valid entries.
-func (h *HypervisorTable) Len() int { return len(h.entries) }
+func (h *HypervisorTable) Len() int {
+	n := 0
+	for _, e := range h.entries {
+		if e.Valid {
+			n++
+		}
+	}
+	return n
+}

@@ -119,7 +119,7 @@ func TestTranslateNoFaultNeverCallsHandler(t *testing.T) {
 	if _, ok := h.TranslateNoFault(42); ok {
 		t.Fatal("invalid entry translated")
 	}
-	h.entries[42] = HypervisorEntry{MFN: 420, Valid: true}
+	h.Map(42, 420)
 	mfn, ok := h.TranslateNoFault(42)
 	if !ok || mfn != 420 {
 		t.Fatalf("TranslateNoFault = %d,%v", mfn, ok)

@@ -12,9 +12,9 @@ import (
 // postDestroyAllocSequence boots a hypervisor, creates a 4K-mapped
 // domain and releases its frames, then records the machine-frame
 // sequence the buddy allocator hands out afterwards. Releasing the
-// domain frees every owned page, and each Free reshapes the buddy free
-// lists — so the recorded sequence is a fingerprint of the order
-// releaseFrames walked ownedPages in.
+// domain frees every page whose table entry carries the ownership bit,
+// and each Free reshapes the buddy free lists — so the recorded
+// sequence is a fingerprint of the order releaseFrames freed them in.
 func postDestroyAllocSequence(t *testing.T) []mem.MFN {
 	t.Helper()
 	topo := numa.SmallMachine(4, 4, 64<<20)
@@ -47,10 +47,12 @@ func postDestroyAllocSequence(t *testing.T) []mem.MFN {
 
 // TestDestroyDomainDeterministic is the regression test for the
 // releaseFrames map-order bug found by the maporder analyzer: freeing
-// ownedPages in map iteration order left the buddy allocator in a
-// run-dependent state, so every allocation after a domain teardown was
-// nondeterministic. releaseFrames is still the teardown of CreateDomain's
-// populate-failure path. Two identical runs must now hand out identical
+// page-owned frames in map iteration order left the buddy allocator in
+// a run-dependent state, so every allocation after a domain teardown
+// was nondeterministic. Ownership is now a bit in each hypervisor
+// table entry and releaseFrames walks the table in PFN order, but the
+// pin stays: releaseFrames is still the teardown of CreateDomain's
+// populate-failure path. Two identical runs must hand out identical
 // frame sequences.
 func TestDestroyDomainDeterministic(t *testing.T) {
 	a := postDestroyAllocSequence(t)

@@ -2,7 +2,6 @@ package xen
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/mem"
 	"repro/internal/numa"
@@ -42,14 +41,10 @@ type Domain struct {
 	// dynamic policy can track page liveness. Set by package carrefour.
 	CarrefourHook func(ops []policy.PageOp)
 
-	// frames tracks every machine allocation backing this domain so
-	// releaseFrames can return the memory. Blocks allocated at order > 0
-	// (round-1G regions) are recorded once.
+	// frames records the boot-region blocks backing this domain so
+	// releaseFrames can return them whole. Frames allocated page by page
+	// are not listed here: their table entries carry the Owned bit.
 	frames []frameAlloc
-	// frameOf mirrors the hypervisor table for 4 KiB-grained ownership:
-	// pages individually invalidated/remapped by first-touch or
-	// migration are tracked here so releaseFrames does not double-free.
-	ownedPages map[mem.PFN]mem.MFN
 
 	// Observers used by the workload engine to keep per-region node
 	// histograms in sync with the hypervisor page table.
@@ -85,15 +80,11 @@ type frameAlloc struct {
 
 func newDomain(h *Hypervisor, id DomID, spec DomainSpec, pins []numa.CPUID, boot policy.BootPlacer, pol policy.Policy) *Domain {
 	// A recycled shell (left behind by Hypervisor.Reset) carries the
-	// previous domain's map buckets and slice capacities; refilling it
-	// is bit-for-bit equivalent to a cold build, minus the allocation
-	// and rehash work.
+	// previous domain's slice capacities; refilling it is bit-for-bit
+	// equivalent to a cold build, minus the allocation work.
 	d := h.takeShell()
 	if d == nil {
-		d = &Domain{
-			table:      pt.NewHypervisorTable(),
-			ownedPages: make(map[mem.PFN]mem.MFN),
-		}
+		d = &Domain{table: pt.NewHypervisorTable()}
 	}
 	d.ID = id
 	d.Name = spec.Name
@@ -129,32 +120,15 @@ func newDomain(h *Hypervisor, id DomID, spec DomainSpec, pins []numa.CPUID, boot
 	return d
 }
 
-// recycleShell strips a domain down to its reusable storage — page-table
-// buckets, ownership maps, slice capacities — and clears everything
-// else, so newDomain can refill it exactly as it fills a zero literal.
-// The domain's frames are NOT returned to the allocator: recycling
-// happens only from Hypervisor.Reset, which restores the whole
-// allocator to pristine shape wholesale.
+// recycleShell strips a domain down to its reusable storage — the
+// page-table and slice capacities — and zeroes everything else, so
+// newDomain refills it exactly as it fills a zero literal. The domain's
+// frames are NOT returned to the allocator: recycling happens only from
+// Hypervisor.Reset, which restores the whole allocator to pristine
+// shape wholesale.
 func (d *Domain) recycleShell() {
 	d.table.Reset()
-	clear(d.ownedPages)
-	d.frames = d.frames[:0]
-	d.VCPUs = d.VCPUs[:0]
-	d.homes = d.homes[:0]
-	d.CarrefourHook = nil
-	d.OnPlace, d.OnInvalidate = nil, nil
-	d.bootPlacer, d.pol = nil, nil
-	d.Faults, d.FaultTime = 0, 0
-	d.Hypercalls, d.HypercallTime = 0, 0
-	d.Migrated, d.Invalidated = 0, 0
-	d.nextAllocNode = 0
-	d.passthrough = false
-	d.accessor = 0
-	d.hv = nil
-	d.ID, d.Name = 0, ""
-	d.physPages = 0
-	d.bootKind = ""
-	d.cfg = policy.Config{}
+	*d = Domain{table: d.table, frames: d.frames[:0], VCPUs: d.VCPUs[:0], homes: d.homes[:0]}
 }
 
 // populate eagerly builds the physical address space through the boot
@@ -167,23 +141,19 @@ func (d *Domain) populate() error {
 }
 
 // releaseFrames returns all machine memory to the allocator; CreateDomain
-// calls it when populating a domain fails. Frames are freed in ascending
-// PFN order: each Free reshapes the buddy free lists, so freeing in map
-// order would leave the allocator in a run-dependent state and make every
-// later allocation nondeterministic.
+// calls it when populating a domain fails. Owned pages are freed by a
+// walk of the table in PFN order: each Free reshapes the buddy free
+// lists, so the order decides every later allocation.
 func (d *Domain) releaseFrames() {
 	for _, f := range d.frames {
 		d.hv.Alloc.Free(f.mfn, f.order)
 	}
 	d.frames = nil
-	pfns := make([]mem.PFN, 0, len(d.ownedPages))
-	for pfn := range d.ownedPages {
-		pfns = append(pfns, pfn)
-	}
-	sort.Slice(pfns, func(i, j int) bool { return pfns[i] < pfns[j] })
-	for _, pfn := range pfns {
-		d.hv.Alloc.Free(d.ownedPages[pfn], mem.Order4K)
-		delete(d.ownedPages, pfn)
+	for pfn := mem.PFN(0); pfn < mem.PFN(d.physPages); pfn++ {
+		if e := d.table.Lookup(pfn); e.Owned {
+			d.table.Invalidate(pfn)
+			d.hv.Alloc.Free(e.MFN, mem.Order4K)
+		}
 	}
 }
 
@@ -243,9 +213,10 @@ func (d *Domain) AllocRegion(node numa.NodeID, order int) (mem.MFN, error) {
 }
 
 // MapRegion maps the 2^order frames of block phys-contiguously starting
-// at base. The block is recorded as a single allocation, so releaseFrames
-// returns it whole; pages inside it individually invalidated later stay
-// owned by the block record (see InvalidatePage).
+// at base, with the ownership bit clear. The block is recorded as a
+// single allocation, so releaseFrames returns it whole; pages inside it
+// individually invalidated later stay owned by the block record (see
+// InvalidatePage).
 func (d *Domain) MapRegion(base mem.PFN, block mem.MFN, order int) {
 	d.frames = append(d.frames, frameAlloc{mfn: block, order: order})
 	for i := uint64(0); i < mem.FramesOf(order); i++ {
@@ -253,11 +224,10 @@ func (d *Domain) MapRegion(base mem.PFN, block mem.MFN, order int) {
 	}
 }
 
-// MapPage installs pfn→mfn, records ownership at page granularity and
-// notifies the placement observer.
+// MapPage installs pfn→mfn with the ownership bit set, so the frame is
+// freed with the mapping, and notifies the placement observer.
 func (d *Domain) MapPage(pfn mem.PFN, mfn mem.MFN) {
-	d.table.Map(pfn, mfn)
-	d.ownedPages[pfn] = mfn
+	d.table.MapOwned(pfn, mfn)
 	if d.OnPlace != nil {
 		d.OnPlace(pfn, d.hv.Alloc.NodeOf(mfn))
 	}
@@ -266,15 +236,15 @@ func (d *Domain) MapPage(pfn mem.PFN, mfn mem.MFN) {
 // InvalidatePage clears pfn's entry and frees its frame; the next access
 // faults into the policy. Part of the first-touch implementation.
 func (d *Domain) InvalidatePage(pfn mem.PFN) {
-	old := d.table.Invalidate(pfn)
-	if old == mem.NoMFN {
+	e := d.table.Lookup(pfn)
+	if !e.Valid {
 		return
 	}
+	d.table.Invalidate(pfn)
 	d.Invalidated++
 	d.hv.EntriesFlushed++
-	if _, owned := d.ownedPages[pfn]; owned {
-		delete(d.ownedPages, pfn)
-		d.hv.Alloc.Free(old, mem.Order4K)
+	if e.Owned {
+		d.hv.Alloc.Free(e.MFN, mem.Order4K)
 	}
 	// Frames inside eager blocks (round-1G/round-4K boot regions) stay
 	// owned by the block record; they are reused only after the block is
@@ -303,11 +273,10 @@ func (d *Domain) MigratePage(pfn mem.PFN, to numa.NodeID) bool {
 	d.table.WriteProtect(pfn)
 	// Copy happens here; the time cost is charged by the caller through
 	// CostMigratePage, the traffic through the load accumulator.
-	d.table.Map(pfn, newMFN)
-	if old, owned := d.ownedPages[pfn]; owned {
-		d.hv.Alloc.Free(old, mem.Order4K)
+	d.table.MapOwned(pfn, newMFN)
+	if e.Owned {
+		d.hv.Alloc.Free(e.MFN, mem.Order4K)
 	}
-	d.ownedPages[pfn] = newMFN
 	d.Migrated++
 	d.hv.PagesMigrated++
 	d.hv.MigrationTime += CostMigratePage

@@ -116,8 +116,7 @@ type Hypervisor struct {
 	cpuUse []int
 
 	// shells holds stripped domain carcasses left behind by Reset;
-	// newDomain pops one instead of allocating fresh page tables and
-	// ownership maps. Empty outside warm-pool use, so cold-build paths
+	// newDomain pops one instead of allocating fresh page tables. Empty outside warm-pool use, so cold-build paths
 	// are untouched.
 	shells []*Domain
 
@@ -324,8 +323,10 @@ func (h *Hypervisor) Reset() error {
 	h.PassthroughOffs = 0
 
 	dom0 := h.domains[0]
-	if len(dom0.ownedPages) != 0 {
-		return fmt.Errorf("xen: Reset with page-grained dom0 allocations")
+	for pfn := mem.PFN(0); pfn < mem.PFN(dom0.physPages); pfn++ {
+		if dom0.table.Lookup(pfn).Owned {
+			return fmt.Errorf("xen: Reset with page-grained dom0 allocations")
+		}
 	}
 	// Restore the allocator to pristine shape, then replay dom0's boot
 	// allocations in their original order. The buddy allocator is
