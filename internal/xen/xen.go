@@ -116,8 +116,8 @@ type Hypervisor struct {
 	cpuUse []int
 
 	// shells holds stripped domain carcasses left behind by Reset;
-	// newDomain pops one instead of allocating fresh page tables. Empty outside warm-pool use, so cold-build paths
-	// are untouched.
+	// newDomain pops one instead of allocating a fresh page table. Empty
+	// outside warm-pool use, so cold-build paths are untouched.
 	shells []*Domain
 
 	// Counters.
