@@ -50,18 +50,22 @@ type Allocator struct {
 }
 
 type nodeAlloc struct {
-	base      MFN // first frame of the node's bank
-	frames    uint64
-	freeList  [maxOrder + 1][]MFN // LIFO free lists per order
-	freeSet   map[MFN]int         // free block start → order (for coalescing)
+	base     MFN // first frame of the node's bank
+	frames   uint64
+	freeList [maxOrder + 1][]MFN // LIFO free lists per order
+	// freeMap is the buddy bitmap of each order: bit (mfn-base)>>o of
+	// freeMap[o] is set iff the order-o block at mfn is on freeList[o].
+	// Coalescing and the double-free checks read it instead of searching
+	// the lists.
+	freeMap   [maxOrder + 1][]uint64
 	freeBytes int64
 }
 
 // NewAllocator carves topo's memory into per-node buddy pools. All nodes
-// must have the same bank size (true for every machine in this repo) and
-// the bank size must be a multiple of the largest order.
+// must have the same bank size (true for every machine in this repo).
+// Every node's buddy bitmaps are slices of one backing array, about two
+// bits per frame.
 func NewAllocator(topo *numa.Topology) *Allocator {
-	a := &Allocator{topo: topo}
 	if topo.NumNodes() == 0 {
 		panic("mem: topology has no nodes")
 	}
@@ -71,22 +75,33 @@ func NewAllocator(topo *numa.Topology) *Allocator {
 			panic("mem: heterogeneous node sizes not supported")
 		}
 	}
-	a.framesPerNode = per
-	for i := range topo.Nodes {
-		na := nodeAlloc{
-			base:    MFN(uint64(i) * per),
-			frames:  per,
-			freeSet: make(map[MFN]int),
+	a := &Allocator{topo: topo, framesPerNode: per, nodes: make([]nodeAlloc, topo.NumNodes())}
+	var words uint64
+	for o := 0; o <= maxOrder; o++ {
+		words += bitmapWords(per, o)
+	}
+	bits := make([]uint64, words*uint64(len(a.nodes)))
+	for i := range a.nodes {
+		na := &a.nodes[i]
+		na.base, na.frames = MFN(uint64(i)*per), per
+		for o := range na.freeMap {
+			w := bitmapWords(per, o)
+			na.freeMap[o], bits = bits[:w:w], bits[w:]
 		}
 		na.seed()
-		a.nodes = append(a.nodes, na)
 	}
 	return a
 }
 
+// bitmapWords returns the words an order-o bitmap of a frames-long bank
+// needs: one bit per order-o block that can start inside the bank.
+func bitmapWords(frames uint64, o int) uint64 {
+	return ((frames-1)>>uint(o) + 64) / 64
+}
+
 // seed fills the node's free lists with the largest aligned blocks that
 // fit, lowest address first — the pristine shape every allocation
-// sequence starts from. It assumes the lists and set are empty.
+// sequence starts from. It assumes the lists and bitmaps are empty.
 func (na *nodeAlloc) seed() {
 	na.freeBytes = int64(na.frames) * PageSize
 	start, remaining := na.base, na.frames
@@ -98,8 +113,7 @@ func (na *nodeAlloc) seed() {
 				panic("mem: unalignable bank")
 			}
 		}
-		na.freeList[order] = append(na.freeList[order], start)
-		na.freeSet[start] = order
+		na.push(order, start)
 		start += MFN(FramesOf(order))
 		remaining -= FramesOf(order)
 	}
@@ -108,17 +122,21 @@ func (na *nodeAlloc) seed() {
 // Reset returns every node's free lists to the pristine shape
 // NewAllocator seeds — same blocks, same per-order LIFO order — no
 // matter what sequence of Alloc and Free calls ran in between. The
-// existing list and set storage is reused, so a reset machine allocates
-// nothing new. It is the bottom layer of the warm-machine reset
-// protocol: every allocation after a Reset behaves bit-for-bit as on a
-// freshly built allocator.
+// existing list and bitmap storage is reused, so a reset machine
+// allocates nothing new, and only the bits of blocks still on the free
+// lists are cleared, so a reset costs O(free blocks), not O(frames). It
+// is the bottom layer of the warm-machine reset protocol: every
+// allocation after a Reset behaves bit-for-bit as on a freshly built
+// allocator.
 func (a *Allocator) Reset() {
 	for i := range a.nodes {
 		na := &a.nodes[i]
-		for o := range na.freeList {
-			na.freeList[o] = na.freeList[o][:0]
+		for o, l := range na.freeList {
+			for _, b := range l {
+				na.clearFree(o, b)
+			}
+			na.freeList[o] = l[:0]
 		}
-		clear(na.freeSet)
 		na.seed()
 	}
 }
@@ -189,20 +207,16 @@ func (a *Allocator) Free(mfn MFN, order int) {
 	// inside a larger free block that coalescing built around it, found
 	// by probing the aligned head at each higher order holding blocks.
 	for o := order; o <= maxOrder; o++ {
-		if o > order && len(na.freeList[o]) == 0 {
-			continue
-		}
-		if ho, free := na.freeSet[mfn&^MFN(FramesOf(o)-1)]; free && (o == order || ho == o) {
+		if len(na.freeList[o]) > 0 && na.isFree(o, mfn&^MFN(FramesOf(o)-1)) {
 			panic(fmt.Sprintf("mem: double free of MFN %d", mfn))
 		}
 	}
 	na.freeBytes += int64(FramesOf(order)) * PageSize
-	// Coalesce upward while the buddy is free at the same order and the
-	// merged block stays within the node bank.
+	// Coalesce upward while the buddy is free at the same order; a buddy
+	// outside the node bank never is.
 	for order < maxOrder {
 		buddy := mfn ^ MFN(FramesOf(order))
-		bo, free := na.freeSet[buddy]
-		if !free || bo != order {
+		if !na.isFree(order, buddy) {
 			break
 		}
 		na.remove(order, buddy)
@@ -218,13 +232,14 @@ func (na *nodeAlloc) pop(order int) MFN {
 	l := na.freeList[order]
 	block := l[len(l)-1]
 	na.freeList[order] = l[:len(l)-1]
-	delete(na.freeSet, block)
+	na.clearFree(order, block)
 	return block
 }
 
 func (na *nodeAlloc) push(order int, block MFN) {
 	na.freeList[order] = append(na.freeList[order], block)
-	na.freeSet[block] = order
+	i := uint64(block-na.base) >> uint(order)
+	na.freeMap[order][i/64] |= 1 << (i % 64)
 }
 
 func (na *nodeAlloc) remove(order int, block MFN) {
@@ -233,18 +248,38 @@ func (na *nodeAlloc) remove(order int, block MFN) {
 		if b == block {
 			l[i] = l[len(l)-1]
 			na.freeList[order] = l[:len(l)-1]
-			delete(na.freeSet, block)
+			na.clearFree(order, block)
 			return
 		}
 	}
 	panic(fmt.Sprintf("mem: block %d not on free list at order %d", block, order))
 }
 
+// clearFree clears the bitmap bit of the order-o block at block.
+func (na *nodeAlloc) clearFree(order int, block MFN) {
+	i := uint64(block-na.base) >> uint(order)
+	na.freeMap[order][i/64] &^= 1 << (i % 64)
+}
+
+// isFree reports whether the order-o block at mfn is on the node's free
+// list at that order. A block starting outside the bank never is.
+func (na *nodeAlloc) isFree(order int, mfn MFN) bool {
+	if mfn < na.base || uint64(mfn-na.base) >= na.frames {
+		return false
+	}
+	i := uint64(mfn-na.base) >> uint(order)
+	return na.freeMap[order][i/64]&(1<<(i%64)) != 0
+}
+
 // FreeBlocks returns a sorted snapshot of node's free blocks (start,
 // order) for inspection in tests.
 func (a *Allocator) FreeBlocks(node numa.NodeID) []FreeBlock {
 	na := &a.nodes[node]
-	out := make([]FreeBlock, 0, len(na.freeSet))
+	n := 0
+	for _, l := range na.freeList {
+		n += len(l)
+	}
+	out := make([]FreeBlock, 0, n)
 	for o := range na.freeList {
 		for _, b := range na.freeList[o] {
 			out = append(out, FreeBlock{Start: b, Order: o})

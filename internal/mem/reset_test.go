@@ -11,8 +11,8 @@ import (
 // at the bottom layer: after an arbitrary alloc/free history — splits,
 // partial frees, coalescing, cross-order churn — Reset must leave every
 // node's free lists bit-identical to a freshly constructed allocator:
-// same blocks, same orders, same per-order LIFO order, same free-set
-// contents. Any deviation would make allocations on a pooled machine
+// same blocks, same orders, same per-order LIFO order, same buddy
+// bitmaps. Any deviation would make allocations on a pooled machine
 // diverge from a cold-built one.
 func TestResetRestoresPristineFreeLists(t *testing.T) {
 	topo := numa.AMD48Scaled(256)
@@ -60,8 +60,10 @@ func TestResetRestoresPristineFreeLists(t *testing.T) {
 				t.Errorf("node %d order %d free list = %v, want %v", n, o, g, w)
 			}
 		}
-		if !reflect.DeepEqual(got.freeSet, want.freeSet) {
-			t.Errorf("node %d free set diverges after Reset", n)
+		for o := range got.freeMap {
+			if !reflect.DeepEqual(got.freeMap[o], want.freeMap[o]) {
+				t.Errorf("node %d order %d buddy bitmap diverges after Reset", n, o)
+			}
 		}
 	}
 
@@ -79,5 +81,32 @@ func TestResetRestoresPristineFreeLists(t *testing.T) {
 				t.Fatalf("post-reset alloc on node %d order %d = %d, fresh gives %d", n, order, got, want)
 			}
 		}
+	}
+}
+
+// TestResetAllocatesNothing pins Reset's storage reuse: churning an
+// allocator and resetting it again and again allocates nothing once the
+// free lists have grown to the churn's depth. Reset touches only the
+// bits of blocks still on the free lists, so the bitmaps are never
+// reallocated or rebuilt.
+func TestResetAllocatesNothing(t *testing.T) {
+	a := NewAllocator(numa.AMD48Scaled(256))
+	held := make([]MFN, 0, 64)
+	allocs := testing.AllocsPerRun(5, func() {
+		held = held[:0]
+		for i := 0; i < cap(held); i++ {
+			mfn, err := a.Alloc(numa.NodeID(i%2), i%4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			held = append(held, mfn)
+		}
+		for i := 0; i < len(held); i += 3 {
+			a.Free(held[i], i%4)
+		}
+		a.Reset()
+	})
+	if allocs != 0 {
+		t.Fatalf("churn plus Reset allocates %.1f times per run, want 0", allocs)
 	}
 }
