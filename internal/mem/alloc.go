@@ -203,12 +203,23 @@ func (a *Allocator) Free(mfn MFN, order int) {
 	if uint64(mfn)%FramesOf(order) != 0 {
 		panic(fmt.Sprintf("mem: freeing misaligned block %d at order %d", mfn, order))
 	}
+	lo := uint64(mfn - na.base)
+	if lo+FramesOf(order) > na.frames {
+		panic(fmt.Sprintf("mem: freeing block %d at order %d past the end of node %d's bank", mfn, order, node))
+	}
 	// The block must not be free already: neither a free block's head nor
 	// inside a larger free block that coalescing built around it, found
 	// by probing the aligned head at each higher order holding blocks.
 	for o := order; o <= maxOrder; o++ {
 		if len(na.freeList[o]) > 0 && na.isFree(o, mfn&^MFN(FramesOf(o)-1)) {
 			panic(fmt.Sprintf("mem: double free of MFN %d", mfn))
+		}
+	}
+	// Nor may it contain a smaller free block: its order-o blocks are the
+	// 2^(order-o) consecutive bits of freeMap[o] from lo>>o.
+	for o := 0; o < order; o++ {
+		if len(na.freeList[o]) > 0 && anySet(na.freeMap[o], lo>>uint(o), FramesOf(order-o)) {
+			panic(fmt.Sprintf("mem: freeing block %d at order %d that holds free memory", mfn, order))
 		}
 	}
 	na.freeBytes += int64(FramesOf(order)) * PageSize
@@ -259,6 +270,25 @@ func (na *nodeAlloc) remove(order int, block MFN) {
 func (na *nodeAlloc) clearFree(order int, block MFN) {
 	i := uint64(block-na.base) >> uint(order)
 	na.freeMap[order][i/64] &^= 1 << (i % 64)
+}
+
+// anySet reports whether any of bits [lo, lo+n) of bits is set, testing
+// a word at a time.
+func anySet(bits []uint64, lo, n uint64) bool {
+	hi := lo + n
+	for w := lo / 64; w*64 < hi; w++ {
+		word := bits[w]
+		if w == lo/64 {
+			word &= ^uint64(0) << (lo % 64)
+		}
+		if end := (w + 1) * 64; end > hi {
+			word &= ^uint64(0) >> (end - hi)
+		}
+		if word != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // isFree reports whether the order-o block at mfn is on the node's free

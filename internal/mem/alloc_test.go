@@ -157,6 +157,30 @@ func TestDoubleFreeInsideCoalescedBlockPanics(t *testing.T) {
 	a.Free(f1, Order4K)
 }
 
+// TestFreeAroundFreeBlockPanics frees the 2 MiB block around a single
+// allocated frame. The split that carved the frame left its buddies
+// free inside that block, so the free would count them twice: it used
+// to be accepted, and node 0 then reported 270,528,512 free bytes on a
+// 268,435,456-byte bank.
+func TestFreeAroundFreeBlockPanics(t *testing.T) {
+	a := NewAllocator(numa.AMD48Scaled(64))
+	bank := a.FreeBytes(0)
+	f, err := a.Alloc(0, Order4K)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("free of the 2 MiB block around MFN %d accepted: node 0 reports %d free bytes on a %d-byte bank",
+				f, a.FreeBytes(0), bank)
+		}
+		if got := a.FreeBytes(0); got != bank-PageSize {
+			t.Fatalf("free bytes after rejected free = %d, want %d", got, bank-PageSize)
+		}
+	}()
+	a.Free(f&^MFN(FramesOf(Order2M)-1), Order2M)
+}
+
 func TestMisalignedFreePanics(t *testing.T) {
 	a := testAlloc(t)
 	mfn, _ := a.Alloc(0, Order2M)
@@ -242,5 +266,28 @@ func TestQuickAllocFreeInvariant(t *testing.T) {
 func TestFramesOf(t *testing.T) {
 	if FramesOf(Order4K) != 1 || FramesOf(Order2M) != 512 || FramesOf(Order1G) != 262144 {
 		t.Fatal("order frame counts wrong")
+	}
+}
+
+// TestAnySet checks the word-at-a-time range test Free uses to find a
+// free block inside the block being freed against a bit-by-bit scan,
+// for one set bit anywhere in four words and ranges that start, end and
+// span word boundaries anywhere.
+func TestAnySet(t *testing.T) {
+	var bits [4]uint64
+	for p := uint64(0); p < 256; p++ {
+		bits = [4]uint64{}
+		bits[p/64] = 1 << (p % 64)
+		for lo := uint64(0); lo < 256; lo++ {
+			for _, n := range []uint64{1, 2, 7, 63, 64, 65, 127, 128, 129, 200, 256} {
+				if lo+n > 256 {
+					continue
+				}
+				want := p >= lo && p < lo+n
+				if got := anySet(bits[:], lo, n); got != want {
+					t.Fatalf("bit %d set: anySet(lo=%d, n=%d) = %v, want %v", p, lo, n, got, want)
+				}
+			}
+		}
 	}
 }

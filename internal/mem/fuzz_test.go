@@ -71,8 +71,9 @@ func (m *allocModel) frames(node int, mfn MFN, order int) []byte {
 //   - each node's free bytes plus its allocated bytes equal its bank;
 //   - an allocation is aligned, on the requested node, and covers no
 //     frame the model holds as allocated;
-//   - freeing a block whose frames are all free (a double free, or a
-//     block inside a larger free block) panics and changes nothing;
+//   - freeing a block that holds any free frame (a double free, a block
+//     inside a larger free block or around a smaller one), or that
+//     leaves its node's bank, panics and changes nothing;
 //   - after Reset, FreeBlocks and the next allocation sequence equal
 //     those of a freshly built allocator.
 //
@@ -97,6 +98,11 @@ func FuzzAllocator(f *testing.F) {
 	// Fragment node 0 with frames and a 2 MiB block, free them back so
 	// they coalesce, then free them again.
 	f.Add([]byte{0, 0, 0, 0, 8, 0, 0, 0, 2, 1, 2, 0, 2, 0, 3, 0x80, 3, 0x81, 11, 0x80})
+	// Two frames on node 0, the second split from the 2 MiB block, then a
+	// free of that 2 MiB block: it contains the free buddies the split
+	// left behind. Then a 2 MiB free around the first frame, the bank's
+	// last, which leaves the bank.
+	f.Add([]byte{0, 0, 0, 0, 11, 1, 11, 0})
 	// The 1 GiB block, a reset, and the probe sequence on both nodes.
 	f.Add([]byte{16, 0, 4, 0, 12, 0, 0x23, 0, 2, 0, 19, 0x80, 7, 0})
 	// Exhaust node 1 at 2 MiB, then free and re-free across the odd base.
@@ -193,8 +199,9 @@ func FuzzAllocator(f *testing.F) {
 					continue
 				}
 				// A bad free: an order-aligned block around a live or a
-				// freed block. It must be rejected when all its frames
-				// are free; other cases cannot be told from a valid free.
+				// freed block. It must be rejected when any of its frames
+				// is free or it leaves its node's bank; a block of
+				// allocated frames cannot be told from a valid free.
 				src := live
 				if pick&0x80 != 0 {
 					src = freed
@@ -203,19 +210,19 @@ func FuzzAllocator(f *testing.F) {
 					continue
 				}
 				b := src[pick&0x7f%len(src)]
-				n := int(a.NodeOf(b.Start))
 				head := b.Start &^ MFN(FramesOf(order)-1)
+				n := int(a.NodeOf(head))
 				fr := m.frames(n, head, order)
-				if fr == nil || bytes.IndexByte(fr, 1) >= 0 {
+				if fr != nil && bytes.IndexByte(fr, 0) < 0 {
 					continue
 				}
-				before := a.FreeBytes(numa.NodeID(n))
+				before := a.TotalFreeBytes()
 				if !panics(func() { a.Free(head, order) }) {
-					t.Fatalf("op %d: free of free order-%d block %d accepted: node %d reports %d free bytes on a %d-byte bank",
+					t.Fatalf("op %d: bad free of order-%d block %d accepted: node %d reports %d free bytes on a %d-byte bank",
 						step, order, head, n, a.FreeBytes(numa.NodeID(n)), bank)
 				}
-				if got := a.FreeBytes(numa.NodeID(n)); got != before {
-					t.Fatalf("op %d: rejected free changed node %d's free bytes %d -> %d", step, n, before, got)
+				if got := a.TotalFreeBytes(); got != before {
+					t.Fatalf("op %d: rejected free changed free bytes %d -> %d", step, before, got)
 				}
 			}
 			for n := range topo.Nodes {
