@@ -211,13 +211,7 @@ func (p *roundStatic) OnPageQueue(DomainOps, []PageOp) int { return 0 }
 // firstTouch implements §4.2: released pages have their hypervisor
 // page-table entry invalidated so the next access faults, and the fault
 // allocates the backing frame on the accessor's node.
-type firstTouch struct {
-	// seen is OnPageQueue's per-batch dedup scratch, kept across batches
-	// so the free-list flush on a policy switch (thousands of batches)
-	// reuses one map instead of allocating per call. Policies are
-	// per-domain and batches are processed one at a time, so no aliasing.
-	seen map[mem.PFN]struct{}
-}
+type firstTouch struct{}
 
 func (p *firstTouch) Kind() Kind { return FirstTouch }
 
@@ -237,24 +231,26 @@ func (p *firstTouch) HandleFault(d DomainOps, pfn mem.PFN, accessor numa.NodeID,
 // queue from the most recent operation, keep the first (most recent)
 // operation seen for each page, invalidate pages whose latest operation
 // is a release, and leave reallocated pages where they are (copying their
-// content would be too costly in the common case).
+// content would be too costly in the common case). A release is the
+// latest operation on its page when no newer operation in the batch
+// names the page; a batch holds at most QueueConfig.BatchSize operations
+// (64 in the paper), so scanning the newer ones is cheaper than hashing
+// every page into a visited set, and allocates nothing.
 func (p *firstTouch) OnPageQueue(d DomainOps, ops []PageOp) int {
-	if p.seen == nil {
-		p.seen = make(map[mem.PFN]struct{}, len(ops))
-	} else {
-		clear(p.seen)
-	}
 	invalidated := 0
+scan:
 	for i := len(ops) - 1; i >= 0; i-- {
 		op := ops[i]
-		if _, dup := p.seen[op.PFN]; dup {
+		if op.Kind != OpRelease {
 			continue
 		}
-		p.seen[op.PFN] = struct{}{}
-		if op.Kind == OpRelease {
-			d.InvalidatePage(op.PFN)
-			invalidated++
+		for _, newer := range ops[i+1:] {
+			if newer.PFN == op.PFN {
+				continue scan
+			}
 		}
+		d.InvalidatePage(op.PFN)
+		invalidated++
 	}
 	return invalidated
 }
