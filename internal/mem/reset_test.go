@@ -19,30 +19,29 @@ func TestResetRestoresPristineFreeLists(t *testing.T) {
 	a := NewAllocator(topo)
 	fresh := NewAllocator(topo)
 
-	// Churn: allocate a mix of orders on every node, free only some of
-	// it (odd blocks), so the free lists end up far from pristine.
-	var held []FreeBlock
-	for n := 0; n < topo.NumNodes(); n++ {
-		node := numa.NodeID(n)
-		for i, order := range []int{0, 0, 3, 1, 0, 5, 2} {
-			mfn, err := a.Alloc(node, order)
-			if err != nil {
-				t.Fatalf("node %d alloc order %d: %v", n, order, err)
-			}
-			if i%2 == 1 {
-				a.Free(mfn, order)
-			} else {
-				held = append(held, FreeBlock{Start: mfn, Order: order})
+	// Churn: allocate a mix of orders on every node and free only the
+	// odd blocks, so the free lists end up far from pristine. The even
+	// blocks are leaked on purpose: Reset must restore pristine shape
+	// regardless of outstanding allocations (the pool resets machines
+	// whose domains were recycled, not individually freed).
+	churn := func() {
+		for n := 0; n < topo.NumNodes(); n++ {
+			node := numa.NodeID(n)
+			for i, order := range []int{0, 0, 3, 1, 0, 5, 2} {
+				mfn, err := a.Alloc(node, order)
+				if err != nil {
+					t.Fatalf("node %d alloc order %d: %v", n, order, err)
+				}
+				if i%2 == 1 {
+					a.Free(mfn, order)
+				}
 			}
 		}
 	}
+	churn()
 	if reflect.DeepEqual(a.nodes, fresh.nodes) {
 		t.Fatal("churn did not perturb the allocator; test is vacuous")
 	}
-	// Leak the held blocks on purpose: Reset must restore pristine shape
-	// regardless of outstanding allocations (the pool resets machines
-	// whose domains were recycled, not individually freed).
-	_ = held
 
 	a.Reset()
 
@@ -82,31 +81,11 @@ func TestResetRestoresPristineFreeLists(t *testing.T) {
 			}
 		}
 	}
-}
 
-// TestResetAllocatesNothing pins Reset's storage reuse: churning an
-// allocator and resetting it again and again allocates nothing once the
-// free lists have grown to the churn's depth. Reset touches only the
-// bits of blocks still on the free lists, so the bitmaps are never
-// reallocated or rebuilt.
-func TestResetAllocatesNothing(t *testing.T) {
-	a := NewAllocator(numa.AMD48Scaled(256))
-	held := make([]MFN, 0, 64)
-	allocs := testing.AllocsPerRun(5, func() {
-		held = held[:0]
-		for i := 0; i < cap(held); i++ {
-			mfn, err := a.Alloc(numa.NodeID(i%2), i%4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			held = append(held, mfn)
-		}
-		for i := 0; i < len(held); i += 3 {
-			a.Free(held[i], i%4)
-		}
-		a.Reset()
-	})
-	if allocs != 0 {
+	// Reset reuses the list and bitmap storage and touches only the
+	// blocks still listed: once the lists have grown to the churn's
+	// depth, churning and resetting again allocates nothing.
+	if allocs := testing.AllocsPerRun(5, func() { churn(); a.Reset() }); allocs != 0 {
 		t.Fatalf("churn plus Reset allocates %.1f times per run, want 0", allocs)
 	}
 }
