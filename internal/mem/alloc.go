@@ -249,8 +249,8 @@ func (na *nodeAlloc) pop(order int) MFN {
 
 func (na *nodeAlloc) push(order int, block MFN) {
 	na.freeList[order] = append(na.freeList[order], block)
-	i := uint64(block-na.base) >> uint(order)
-	na.freeMap[order][i/64] |= 1 << (i % 64)
+	w, bit := na.bit(order, block)
+	*w |= bit
 }
 
 func (na *nodeAlloc) remove(order int, block MFN) {
@@ -266,10 +266,17 @@ func (na *nodeAlloc) remove(order int, block MFN) {
 	panic(fmt.Sprintf("mem: block %d not on free list at order %d", block, order))
 }
 
-// clearFree clears the bitmap bit of the order-o block at block.
-func (na *nodeAlloc) clearFree(order int, block MFN) {
+// bit locates the order-o block at block in freeMap[order]: the word
+// holding its bit, and the bit.
+func (na *nodeAlloc) bit(order int, block MFN) (*uint64, uint64) {
 	i := uint64(block-na.base) >> uint(order)
-	na.freeMap[order][i/64] &^= 1 << (i % 64)
+	return &na.freeMap[order][i/64], 1 << (i % 64)
+}
+
+// clearFree clears the bit of the order-o block at block.
+func (na *nodeAlloc) clearFree(order int, block MFN) {
+	w, bit := na.bit(order, block)
+	*w &^= bit
 }
 
 // anySet reports whether any of bits [lo, lo+n) of bits is set, testing
@@ -297,19 +304,15 @@ func (na *nodeAlloc) isFree(order int, mfn MFN) bool {
 	if mfn < na.base || uint64(mfn-na.base) >= na.frames {
 		return false
 	}
-	i := uint64(mfn-na.base) >> uint(order)
-	return na.freeMap[order][i/64]&(1<<(i%64)) != 0
+	w, bit := na.bit(order, mfn)
+	return *w&bit != 0
 }
 
 // FreeBlocks returns a sorted snapshot of node's free blocks (start,
 // order) for inspection in tests.
 func (a *Allocator) FreeBlocks(node numa.NodeID) []FreeBlock {
 	na := &a.nodes[node]
-	n := 0
-	for _, l := range na.freeList {
-		n += len(l)
-	}
-	out := make([]FreeBlock, 0, n)
+	var out []FreeBlock
 	for o := range na.freeList {
 		for _, b := range na.freeList[o] {
 			out = append(out, FreeBlock{Start: b, Order: o})
