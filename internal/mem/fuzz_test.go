@@ -15,7 +15,8 @@ func fuzzTopo() *numa.Topology {
 	return numa.SmallMachine(2, 1, 1<<30+2<<20+PageSize)
 }
 
-// fuzzOrders are the orders FuzzAllocator allocates and frees at.
+// fuzzOrders are the orders FuzzAllocator allocates and frees at,
+// indexed by two bits of an op byte, so 4 KiB takes two of the slots.
 var fuzzOrders = [...]int{Order4K, Order2M, Order1G, Order4K}
 
 // allocModel is the naive model of an Allocator: which frames of each
