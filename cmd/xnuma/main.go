@@ -248,7 +248,7 @@ func printPolicies(w io.Writer) {
 		}
 		fmt.Fprintf(w, "%-14s %-16s %-6s %-22s %-9s %-6s %s\n",
 			name, strings.Join(d.Aliases, ","), d.Abbrev, boot,
-			yn(d.Carrefour), yn(d.Native != nil), d.Fault)
+			yn(d.Carrefour), yn(!d.BootOnly), d.Fault)
 	}
 }
 

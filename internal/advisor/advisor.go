@@ -29,8 +29,8 @@ const (
 	// TargetXen advises a policy for a VM under Xen+ (selected at run
 	// time through HypercallSetPolicy, so boot-only layouts are out).
 	TargetXen Target = iota
-	// TargetLinux advises a native-Linux policy (only kinds with a
-	// registered native placer exist there).
+	// TargetLinux advises a native-Linux policy (boot-only layouts do
+	// not exist there).
 	TargetLinux
 )
 
@@ -72,17 +72,15 @@ func RuleFor(class metrics.ImbalanceClass) string {
 //     rejects them (§4.2.1);
 //   - Carrefour-stacked variants (including the §7 migration-only and
 //     replication-only knobs) appear only where the descriptor allows
-//     stacking;
-//   - for TargetLinux, only kinds with a native placer qualify.
+//     stacking.
 //
-// Parameterized kinds are instantiated with their default argument.
+// Both targets get the same set: the boot-only layouts are also the
+// only kinds Linux lacks. Parameterized kinds are instantiated with
+// their default argument.
 func Candidates(target Target) []string {
 	var out []string
 	for _, d := range policy.List() {
 		if d.BootOnly {
-			continue
-		}
-		if target == TargetLinux && d.Native == nil {
 			continue
 		}
 		name := d.DefaultSpelling()

@@ -50,9 +50,6 @@ func TestCandidatesBoundedByRegistry(t *testing.T) {
 			if cfg.Carrefour && !d.Carrefour {
 				t.Errorf("%v: candidate %q stacks carrefour on an unstackable policy", target, c)
 			}
-			if target == TargetLinux && d.Native == nil {
-				t.Errorf("linux: candidate %q has no native placer", c)
-			}
 		}
 	}
 }

@@ -1,8 +1,8 @@
 // Package linux models the native baseline: the same workloads running
 // directly on the machine under Linux's own NUMA policies (any
-// registered policy with a native placer — first-touch, round-4K,
-// interleave, bind:<node>, least-loaded — each optionally with
-// Carrefour). There is no hypervisor layer: "physical" pages are
+// registered policy that is not a hypervisor boot layout — first-touch,
+// round-4K, interleave, bind:<node>, least-loaded, adaptive — each
+// optionally with Carrefour). There is no hypervisor layer: "physical" pages are
 // machine frames, placement happens at guest fault time exactly as
 // Linux's lazy allocator does (§3.1–3.2), and migrations move frames
 // directly.
@@ -27,9 +27,11 @@ type Backend struct {
 	Topo  *numa.Topology
 	Alloc *mem.Allocator
 	cfg   policy.Config
-	// placer is the policy's registered native placement hook; rr is
-	// the backend's own fallback rotor for full banks.
-	placer policy.NativePlacer
+	// placer is the policy's registered placement rule, asked for each
+	// page with every node as a home; rr is the backend's own fallback
+	// rotor for full banks.
+	placer policy.Placer
+	homes  []numa.NodeID
 	rr     int
 	// Threads per node assignment mirrors pinning threads to CPUs in
 	// machine order.
@@ -37,36 +39,41 @@ type Backend struct {
 }
 
 // New builds a native backend on a dedicated machine. The static policy
-// must have a registered native placer (round-1G, a hypervisor boot
-// layout, has none) and any parameter must fit the machine (a bind node
-// out of range is rejected here), so an unsupported configuration fails
-// at construction rather than mid-run.
+// must not be a hypervisor boot layout (round-1G) and any parameter must
+// fit the machine (a bind node out of range is rejected here), so an
+// unsupported configuration fails at construction rather than mid-run.
 func New(topo *numa.Topology, cfg policy.Config) (*Backend, error) {
 	if err := policy.CheckConfig(cfg); err != nil {
 		return nil, fmt.Errorf("linux: %w", err)
 	}
-	if canon, err := policy.Canonical(cfg.Static); err == nil {
-		cfg.Static = canon
-	}
-	placer, err := policy.NewNative(cfg.Static, topo.NumNodes())
+	desc, arg, canon, err := policy.Resolve(cfg.Static)
 	if err != nil {
 		return nil, fmt.Errorf("linux: %w", err)
 	}
-	return &Backend{Topo: topo, Alloc: mem.NewAllocator(topo), cfg: cfg, placer: placer}, nil
+	if desc.BootOnly {
+		return nil, fmt.Errorf("linux: Linux has no %s policy", canon)
+	}
+	cfg.Static = canon
+	placer, err := desc.Place(arg, topo.NumNodes())
+	if err != nil {
+		return nil, fmt.Errorf("linux: %w", err)
+	}
+	b := &Backend{Topo: topo, Alloc: mem.NewAllocator(topo), cfg: cfg, placer: placer}
+	b.homes = b.HomeNodes()
+	return b, nil
 }
 
 // Name reports the platform and policy.
 func (b *Backend) Name() string { return "linux/" + b.cfg.String() }
 
-// Place allocates n frames, asking the policy's native placer for each
+// Place allocates n frames, asking the policy's placement rule for each
 // page's preferred node (the toucher's node for first-touch, round-robin
 // for round-4K/interleave, …) and falling back round-robin when the
 // bank is full.
 func (b *Backend) Place(r *engine.Region, n int, toucher numa.NodeID) (sim.Time, error) {
 	var total sim.Time
-	free := b.Alloc.FreeBytes // hoisted: one method-value allocation per call, not per page
 	for i := 0; i < n; i++ {
-		node := b.placer.PlaceNode(toucher, free)
+		node := b.placer.PlaceNode(toucher, b.homes, b.Alloc)
 		mfn, err := b.allocNear(node)
 		if err != nil {
 			return total, err

@@ -25,7 +25,7 @@ func TestUnsupportedConfigsFailAtConstruction(t *testing.T) {
 			t.Errorf("New accepted %q", kind)
 		}
 	}
-	if _, err := New(topo, policy.Config{Static: policy.Bind(1), Carrefour: true}); err == nil {
+	if _, err := New(topo, policy.Config{Static: policy.Kind("bind:1"), Carrefour: true}); err == nil {
 		t.Error("New stacked carrefour on bind")
 	}
 }
@@ -49,7 +49,7 @@ func TestInterleaveSpreads(t *testing.T) {
 
 func TestBindPlacesOnBoundNode(t *testing.T) {
 	topo := numa.SmallMachine(4, 2, 64<<20)
-	b, err := New(topo, policy.Config{Static: policy.Bind(2)})
+	b, err := New(topo, policy.Config{Static: policy.Kind("bind:2")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestBindPlacesOnBoundNode(t *testing.T) {
 // lands elsewhere instead of failing (preferred-node semantics).
 func TestBindFallsBackWhenFull(t *testing.T) {
 	topo := numa.SmallMachine(2, 1, 1<<20) // 256 frames per node
-	b, err := New(topo, policy.Config{Static: policy.Bind(0)})
+	b, err := New(topo, policy.Config{Static: policy.Kind("bind:0")})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,10 +3,8 @@ package policy
 import (
 	"math"
 
-	"repro/internal/mem"
 	"repro/internal/metrics"
 	"repro/internal/numa"
-	"repro/internal/pt"
 )
 
 // The adaptive policy is the in-hypervisor form of the paper's §3.5.2
@@ -20,6 +18,7 @@ import (
 // fault windows it replaces itself with first-touch through the same
 // HypercallSetPolicy entry point a guest would use, so the switch is
 // observable (trace event, hypercall counters) like any external one.
+// Natively there is no such hypercall, so the rule switches in place.
 
 const (
 	// adaptiveWindow is the number of resolved faults between imbalance
@@ -50,26 +49,18 @@ func registerAdaptive() {
 		// The first-touch phase consumes release notifications, so the
 		// queue must be active from boot (and passthrough off, §4.4.1).
 		UsesPageQueue: true,
-		New:           func(_ string, nodes int) (Policy, error) { return newAdaptive(nodes), nil },
-		Native: func(_ string, nodes int) (NativePlacer, error) {
-			return &nativeAdaptive{ll: nativeLeastLoaded{nodes: nodes}}, nil
-		},
+		Place:         func(_ string, nodes int) (Placer, error) { return newAdaptive(nodes), nil },
 	})
 }
 
-// adaptivePolicy probes with least-loaded placement, measures the
-// imbalance of its own placements every adaptiveWindow faults, and
-// switches the domain to first-touch once two consecutive windows agree
-// (PolicySwitcher). If the domain does not expose the switch hypercall,
-// or the switch is rejected, it degrades to first-touch behaviour in
-// place.
-type adaptivePolicy struct {
-	probe leastLoaded // probe-phase placement
-	ft    firstTouch  // page-queue reconciliation + post-switch fallback
-
-	window    int
-	delta     float64
-	minChecks int
+// adaptive places like least-loaded while it measures the imbalance of
+// its own placements every window pages, and places like first-touch
+// once two consecutive windows agree. Under Xen the fault path then
+// switches the domain to first-touch (Policy.HandleFault); if the domain
+// does not expose the switch hypercall, or rejects it, the rule keeps
+// placing like first-touch in place.
+type adaptive struct {
+	window int
 
 	// placed histograms the *current window's* placements only: the
 	// stability test must compare windows against each other, not a
@@ -85,129 +76,48 @@ type adaptivePolicy struct {
 	switched bool
 }
 
-// newAdaptive builds the policy for a machine with nodes nodes
-// (<= 0 when unknown: the histogram then grows to the highest node
-// actually touched).
-func newAdaptive(nodes int) *adaptivePolicy {
-	p := &adaptivePolicy{
-		window:    adaptiveWindow,
-		delta:     adaptiveStableDelta,
-		minChecks: adaptiveMinChecks,
-	}
-	if nodes > 0 {
-		p.placed = make([]float64, nodes)
-	}
-	return p
+// newAdaptive builds the rule for a machine with nodes nodes.
+func newAdaptive(nodes int) *adaptive {
+	return &adaptive{window: adaptiveWindow, placed: make([]float64, nodes)}
 }
 
-func (p *adaptivePolicy) Kind() Kind { return Adaptive }
-
-func (p *adaptivePolicy) HandleFault(d DomainOps, pfn mem.PFN, accessor numa.NodeID, kind pt.FaultKind) {
-	if kind == pt.FaultWriteProtected {
-		d.Table().Unprotect(pfn)
-		return
-	}
+func (p *adaptive) PlaceNode(accessor numa.NodeID, homes []numa.NodeID, free FreeMem) numa.NodeID {
 	if p.switched {
-		// Still installed after deciding to switch: the domain has no
-		// PolicySwitcher (or rejected the hypercall); behave like the
-		// successor.
-		p.ft.HandleFault(d, pfn, accessor, kind)
-		return
+		return accessor
 	}
-	p.probe.HandleFault(d, pfn, accessor, kind)
-	p.recordPlacement(d, pfn)
-	if p.stable() {
-		p.switchToFirstTouch(d)
-	}
-}
-
-// OnPageQueue reconciles exactly like first-touch (§4.2.4) in both
-// phases: releases invalidate, so during the probe a released page
-// refaults into least-loaded placement instead of keeping a stale home.
-func (p *adaptivePolicy) OnPageQueue(d DomainOps, ops []PageOp) int {
-	return p.ft.OnPageQueue(d, ops)
-}
-
-// recordPlacement histograms where the probe's fault landed.
-func (p *adaptivePolicy) recordPlacement(d DomainOps, pfn mem.PFN) {
-	e := d.Table().Lookup(pfn)
-	if !e.Valid {
-		return
-	}
-	node := d.NodeOfFrame(e.MFN)
-	for int(node) >= len(p.placed) {
-		p.placed = append(p.placed, 0)
-	}
+	node := leastLoaded{}.PlaceNode(accessor, homes, free)
 	p.placed[node]++
 	p.faults++
+	p.switched = p.stable()
+	return node
 }
 
 // stable reports whether the probe phase just completed a window whose
-// placement imbalance moved less than delta percentage points since
-// the previous window's. Each window is measured on its own histogram.
-func (p *adaptivePolicy) stable() bool {
-	if p.faults == 0 || p.faults%p.window != 0 {
+// placement imbalance moved less than adaptiveStableDelta percentage
+// points since the previous window's. Each window is measured on its
+// own histogram.
+func (p *adaptive) stable() bool {
+	if p.faults%p.window != 0 {
 		return false
 	}
 	imb := metrics.RelStdDev(p.placed)
-	for i := range p.placed {
-		p.placed[i] = 0
-	}
+	clear(p.placed)
 	p.checks++
-	ok := p.checks >= p.minChecks && math.Abs(imb-p.prevImb) <= p.delta
+	ok := p.checks >= adaptiveMinChecks && math.Abs(imb-p.prevImb) <= adaptiveStableDelta
 	p.prevImb = imb
 	return ok
 }
 
 // switchToFirstTouch installs first-touch through the external
-// interface, keeping the domain's Carrefour stacking.
-func (p *adaptivePolicy) switchToFirstTouch(d DomainOps) {
-	p.switched = true
+// interface, keeping the domain's Carrefour stacking. A rejected switch
+// leaves the domain untouched (the hypercall's contract), and the
+// adaptive rule keeps placing like first-touch in place.
+func switchToFirstTouch(d DomainOps) {
 	sw, ok := d.(PolicySwitcher)
 	if !ok {
 		return
 	}
 	cfg := sw.Policy()
 	cfg.Static = FirstTouch
-	// A rejected switch leaves the domain untouched (the hypercall's
-	// contract); p.switched keeps this policy behaving like first-touch
-	// in place, so the decision still takes effect.
 	_, _ = sw.HypercallSetPolicy(cfg)
-}
-
-// nativeAdaptive mirrors the adaptive policy for the native backend:
-// least-loaded placement while the per-window histogram of its own
-// placements settles, first-touch afterwards. Linux has no
-// policy-switch hypercall, so the phase change is internal.
-type nativeAdaptive struct {
-	ll       nativeLeastLoaded
-	placed   []float64 // current window's placements, reset per check
-	count    int
-	checks   int
-	prevImb  float64
-	switched bool
-}
-
-func (p *nativeAdaptive) PlaceNode(toucher numa.NodeID, free func(numa.NodeID) int64) numa.NodeID {
-	if p.switched {
-		return toucher
-	}
-	n := p.ll.PlaceNode(toucher, free)
-	if p.placed == nil {
-		p.placed = make([]float64, p.ll.nodes)
-	}
-	p.placed[n]++
-	p.count++
-	if p.count%adaptiveWindow == 0 {
-		imb := metrics.RelStdDev(p.placed)
-		for i := range p.placed {
-			p.placed[i] = 0
-		}
-		p.checks++
-		if p.checks >= adaptiveMinChecks && math.Abs(imb-p.prevImb) <= adaptiveStableDelta {
-			p.switched = true
-		}
-		p.prevImb = imb
-	}
-	return n
 }

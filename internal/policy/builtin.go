@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/numa"
-	"repro/internal/pt"
 )
 
 // The built-in policies. The first three registrations are the paper's
@@ -25,7 +24,7 @@ func init() {
 		BootOnly:   true,
 		Contiguous: true,
 		Boot:       bootRound1G,
-		New:        func(string, int) (Policy, error) { return &roundStatic{kind: Round1G}, nil },
+		Place:      placeRoundRobin,
 	})
 	Register(Descriptor{
 		Name:      "round-4K",
@@ -34,10 +33,7 @@ func init() {
 		Fault:     "stray faults round-robin over the home nodes",
 		Carrefour: true,
 		Boot:      bootRound4K,
-		New:       func(string, int) (Policy, error) { return &roundStatic{kind: Round4K}, nil },
-		Native: func(_ string, nodes int) (NativePlacer, error) {
-			return &nativeRoundRobin{nodes: nodes}, nil
-		},
+		Place:     placeRoundRobin,
 	})
 	Register(Descriptor{
 		Name:          "first-touch",
@@ -47,10 +43,7 @@ func init() {
 		Carrefour:     true,
 		RuntimeOnly:   true,
 		UsesPageQueue: true,
-		New:           func(string, int) (Policy, error) { return &firstTouch{}, nil },
-		Native: func(string, int) (NativePlacer, error) {
-			return nativeFirstTouch{}, nil
-		},
+		Place:         func(string, int) (Placer, error) { return firstTouch{}, nil },
 	})
 	Register(Descriptor{
 		Name:      "interleave",
@@ -58,10 +51,7 @@ func init() {
 		Abbrev:    "IL",
 		Fault:     "allocates round-robin over the home nodes at fault time",
 		Carrefour: true,
-		New:       func(string, int) (Policy, error) { return &roundStatic{kind: Interleave}, nil },
-		Native: func(_ string, nodes int) (NativePlacer, error) {
-			return &nativeRoundRobin{nodes: nodes}, nil
-		},
+		Place:     placeRoundRobin,
 	})
 	Register(Descriptor{
 		Name:          "bind",
@@ -70,19 +60,12 @@ func init() {
 		Parameterized: true,
 		DefaultArg:    "0",
 		NormalizeArg:  normalizeBindArg,
-		New: func(arg string, nodes int) (Policy, error) {
+		Place: func(arg string, nodes int) (Placer, error) {
 			node, err := bindNode(arg, nodes)
 			if err != nil {
 				return nil, err
 			}
-			return &bindPolicy{node: node}, nil
-		},
-		Native: func(arg string, nodes int) (NativePlacer, error) {
-			node, err := bindNode(arg, nodes)
-			if err != nil {
-				return nil, err
-			}
-			return nativeBind{node: node}, nil
+			return bound{node: node}, nil
 		},
 	})
 	Register(Descriptor{
@@ -91,10 +74,7 @@ func init() {
 		Abbrev:    "LL",
 		Fault:     "allocates on the home node with the most free memory at fault time",
 		Carrefour: true,
-		New:       func(string, int) (Policy, error) { return &leastLoaded{}, nil },
-		Native: func(_ string, nodes int) (NativePlacer, error) {
-			return nativeLeastLoaded{nodes: nodes}, nil
-		},
+		Place:     func(string, int) (Placer, error) { return leastLoaded{}, nil },
 	})
 	registerAdaptive()
 }
@@ -175,176 +155,54 @@ func bootRound1G(b BootOps) error {
 	return nil
 }
 
-// --- runtime policies (hypervisor side) ---
+// --- placement rules ---
 
-// roundStatic covers round-4K, round-1G and interleave: all three
-// resolve faults round-robin over the home nodes and ignore page
-// queues. For the eager kinds placement happened at domain creation (by
-// the BootPlacer), so only stray faults — pages invalidated by an
-// earlier first-touch phase — reach HandleFault; interleave boots
-// lazily, so every page takes this path on its first access.
-type roundStatic struct {
-	kind Kind
+// roundRobin covers round-4K, round-1G and interleave: pages go
+// round-robin over the home nodes. For the eager kinds placement
+// happened at domain creation (by the BootPlacer), so under Xen only
+// stray faults — pages invalidated by an earlier first-touch phase —
+// reach it; interleave boots lazily, so every page takes this path on
+// its first access. Natively every kind is the lazy allocator placing
+// round-robin.
+type roundRobin struct {
 	next int
 }
 
-func (p *roundStatic) Kind() Kind { return p.kind }
+func placeRoundRobin(string, int) (Placer, error) { return &roundRobin{}, nil }
 
-func (p *roundStatic) HandleFault(d DomainOps, pfn mem.PFN, accessor numa.NodeID, kind pt.FaultKind) {
-	if kind == pt.FaultWriteProtected {
-		// Migration in flight finished; just unprotect.
-		d.Table().Unprotect(pfn)
-		return
-	}
-	homes := d.HomeNodes()
+func (p *roundRobin) PlaceNode(_ numa.NodeID, homes []numa.NodeID, _ FreeMem) numa.NodeID {
 	node := homes[p.next%len(homes)]
 	p.next++
-	mfn, err := d.AllocFrameOn(node)
-	if err != nil {
-		panic(fmt.Sprintf("policy: %v fault allocation failed: %v", p.kind, err))
-	}
-	d.MapPage(pfn, mfn)
+	return node
 }
 
-func (p *roundStatic) OnPageQueue(DomainOps, []PageOp) int { return 0 }
-
-// firstTouch implements §4.2: released pages have their hypervisor
-// page-table entry invalidated so the next access faults, and the fault
-// allocates the backing frame on the accessor's node.
+// firstTouch places a page on the accessor's node (§3.1). Under Xen the
+// policy also consumes the page queue (§4.2): released pages have their
+// hypervisor entry invalidated so the next access faults here.
 type firstTouch struct{}
 
-func (p *firstTouch) Kind() Kind { return FirstTouch }
-
-func (p *firstTouch) HandleFault(d DomainOps, pfn mem.PFN, accessor numa.NodeID, kind pt.FaultKind) {
-	if kind == pt.FaultWriteProtected {
-		d.Table().Unprotect(pfn)
-		return
-	}
-	mfn, err := d.AllocFrameOn(accessor)
-	if err != nil {
-		panic(fmt.Sprintf("policy: first-touch fault allocation failed: %v", err))
-	}
-	d.MapPage(pfn, mfn)
+func (firstTouch) PlaceNode(accessor numa.NodeID, _ []numa.NodeID, _ FreeMem) numa.NodeID {
+	return accessor
 }
 
-// OnPageQueue implements the reconciliation protocol of §4.2.4: scan the
-// queue from the most recent operation, keep the first (most recent)
-// operation seen for each page, invalidate pages whose latest operation
-// is a release, and leave reallocated pages where they are (copying their
-// content would be too costly in the common case). A release is the
-// latest operation on its page when no newer operation in the batch
-// names the page; a batch holds at most QueueConfig.BatchSize operations
-// (64 in the paper), so scanning the newer ones is cheaper than hashing
-// every page into a visited set, and allocates nothing.
-func (p *firstTouch) OnPageQueue(d DomainOps, ops []PageOp) int {
-	invalidated := 0
-scan:
-	for i := len(ops) - 1; i >= 0; i-- {
-		op := ops[i]
-		if op.Kind != OpRelease {
-			continue
-		}
-		for _, newer := range ops[i+1:] {
-			if newer.PFN == op.PFN {
-				continue scan
-			}
-		}
-		d.InvalidatePage(op.PFN)
-		invalidated++
-	}
-	return invalidated
-}
-
-// bindPolicy allocates every faulted page on one preferred node;
-// AllocFrameOn's round-robin fallback covers the bank filling up.
-type bindPolicy struct {
+// bound places every page on one preferred node; the caller's fallback
+// covers the bank filling up.
+type bound struct {
 	node numa.NodeID
 }
 
-func (p *bindPolicy) Kind() Kind { return Bind(p.node) }
+func (p bound) PlaceNode(numa.NodeID, []numa.NodeID, FreeMem) numa.NodeID { return p.node }
 
-func (p *bindPolicy) HandleFault(d DomainOps, pfn mem.PFN, accessor numa.NodeID, kind pt.FaultKind) {
-	if kind == pt.FaultWriteProtected {
-		d.Table().Unprotect(pfn)
-		return
-	}
-	mfn, err := d.AllocFrameOn(p.node)
-	if err != nil {
-		panic(fmt.Sprintf("policy: bind:%d fault allocation failed: %v", p.node, err))
-	}
-	d.MapPage(pfn, mfn)
-}
-
-func (p *bindPolicy) OnPageQueue(DomainOps, []PageOp) int { return 0 }
-
-// leastLoaded allocates each faulted page on the home node with the
-// most free machine memory at fault time (ties break toward the first
-// home in domain order, keeping runs deterministic).
+// leastLoaded places each page on the home node with the most free
+// machine memory at fault time (ties break toward the first home,
+// keeping runs deterministic).
 type leastLoaded struct{}
 
-func (p *leastLoaded) Kind() Kind { return LeastLoaded }
-
-func (p *leastLoaded) HandleFault(d DomainOps, pfn mem.PFN, accessor numa.NodeID, kind pt.FaultKind) {
-	if kind == pt.FaultWriteProtected {
-		d.Table().Unprotect(pfn)
-		return
-	}
-	homes := d.HomeNodes()
-	best, bestFree := homes[0], d.NodeFreeBytes(homes[0])
+func (leastLoaded) PlaceNode(_ numa.NodeID, homes []numa.NodeID, free FreeMem) numa.NodeID {
+	best, bestFree := homes[0], free.FreeBytes(homes[0])
 	for _, n := range homes[1:] {
-		if free := d.NodeFreeBytes(n); free > bestFree {
-			best, bestFree = n, free
-		}
-	}
-	mfn, err := d.AllocFrameOn(best)
-	if err != nil {
-		panic(fmt.Sprintf("policy: least-loaded fault allocation failed: %v", err))
-	}
-	d.MapPage(pfn, mfn)
-}
-
-func (p *leastLoaded) OnPageQueue(DomainOps, []PageOp) int { return 0 }
-
-// --- native placers (Linux side) ---
-
-// nativeFirstTouch places on the toucher's node (§3.1).
-type nativeFirstTouch struct{}
-
-func (nativeFirstTouch) PlaceNode(toucher numa.NodeID, _ func(numa.NodeID) int64) numa.NodeID {
-	return toucher
-}
-
-// nativeRoundRobin spreads pages round-robin over every node (round-4K
-// and interleave: natively both are the lazy allocator placing
-// round-robin).
-type nativeRoundRobin struct {
-	nodes int
-	rr    int
-}
-
-func (p *nativeRoundRobin) PlaceNode(numa.NodeID, func(numa.NodeID) int64) numa.NodeID {
-	n := numa.NodeID(p.rr % p.nodes)
-	p.rr++
-	return n
-}
-
-// nativeBind prefers one node; the backend's fallback handles overflow.
-type nativeBind struct {
-	node numa.NodeID
-}
-
-func (p nativeBind) PlaceNode(numa.NodeID, func(numa.NodeID) int64) numa.NodeID { return p.node }
-
-// nativeLeastLoaded places on the node with the most free memory.
-type nativeLeastLoaded struct {
-	nodes int
-}
-
-func (p nativeLeastLoaded) PlaceNode(_ numa.NodeID, free func(numa.NodeID) int64) numa.NodeID {
-	best, bestFree := numa.NodeID(0), free(0)
-	for i := 1; i < p.nodes; i++ {
-		if f := free(numa.NodeID(i)); f > bestFree {
-			best, bestFree = numa.NodeID(i), f
+		if f := free.FreeBytes(n); f > bestFree {
+			best, bestFree = n, f
 		}
 	}
 	return best

@@ -17,7 +17,7 @@ type oracleDomain struct {
 	*fakeDomain
 	nodes    int
 	cfg      Config
-	pol      Policy
+	pol      *Policy
 	fault    int
 	switchAt int
 }
@@ -25,7 +25,7 @@ type oracleDomain struct {
 func (d *oracleDomain) Policy() Config { return d.cfg }
 
 func (d *oracleDomain) HypercallSetPolicy(cfg Config) (sim.Time, error) {
-	pol, err := New(cfg.Static, d.nodes)
+	pol, err := newPolicy(cfg.Static, d.nodes)
 	if err != nil {
 		return 0, err
 	}
@@ -56,14 +56,15 @@ func TestXenAndNativePlaceAlike(t *testing.T) {
 		accessors[i] = numa.NodeID(x >> 30)
 	}
 	checked := 0
+	homes := []numa.NodeID{0, 1, 2, 3}
 	for _, desc := range List() {
-		if desc.Native == nil {
+		if desc.BootOnly {
 			continue
 		}
 		kind := Kind(desc.DefaultSpelling())
 		t.Run(string(kind), func(t *testing.T) {
 			dom := &oracleDomain{
-				fakeDomain: newFakeDomain(0, 1, 2, 3),
+				fakeDomain: newFakeDomain(homes...),
 				nodes:      nodes,
 				cfg:        Config{Static: kind},
 				switchAt:   -1,
@@ -72,10 +73,10 @@ func TestXenAndNativePlaceAlike(t *testing.T) {
 				dom.free[n] = b
 			}
 			var err error
-			if dom.pol, err = New(kind, nodes); err != nil {
+			if dom.pol, err = newPolicy(kind, nodes); err != nil {
 				t.Fatal(err)
 			}
-			native, err := NewNative(kind, nodes)
+			native, err := desc.Place(desc.DefaultArg, nodes)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -87,10 +88,10 @@ func TestXenAndNativePlaceAlike(t *testing.T) {
 				dom.pol.HandleFault(dom, mem.PFN(i), acc, pt.FaultNotPresent)
 				xenNodes = append(xenNodes, dom.NodeOfFrame(dom.table.Lookup(mem.PFN(i)).MFN))
 
-				n := native.PlaceNode(acc, free.FreeBytes)
+				n := native.PlaceNode(acc, homes, free)
 				free[n] -= mem.PageSize
 				nativeNodes = append(nativeNodes, n)
-				if a, ok := native.(*nativeAdaptive); ok && a.switched && nativeSwitch < 0 {
+				if a, ok := native.(*adaptive); ok && a.switched && nativeSwitch < 0 {
 					nativeSwitch = i
 				}
 			}

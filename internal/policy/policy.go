@@ -27,7 +27,6 @@ package policy
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/internal/mem"
 	"repro/internal/numa"
@@ -67,13 +66,6 @@ const (
 	// imbalance stabilizes.
 	Adaptive Kind = "adaptive"
 )
-
-// Bind returns the kind of the preferred-node policy for node: every
-// faulted page is allocated on that node, falling back like first-touch
-// when its bank is full.
-func Bind(node numa.NodeID) Kind {
-	return Kind("bind:" + strconv.Itoa(int(node)))
-}
 
 func (k Kind) String() string { return string(k) }
 
@@ -172,9 +164,9 @@ type DomainOps interface {
 	FreeFrame(mfn mem.MFN)
 	// NodeOfFrame maps a machine frame to its NUMA node.
 	NodeOfFrame(mfn mem.MFN) numa.NodeID
-	// NodeFreeBytes reports the free machine memory on node, for
-	// load-aware policies such as least-loaded.
-	NodeFreeBytes(node numa.NodeID) int64
+	// FreeMem reports the free machine memory per node, for load-aware
+	// placement rules such as least-loaded.
+	FreeMem
 	// MapPage installs pfn→mfn and notifies placement observers.
 	// This is the first function of the internal interface.
 	MapPage(pfn mem.PFN, mfn mem.MFN)
@@ -213,12 +205,21 @@ type BootOps interface {
 // for the domain.
 type BootPlacer func(b BootOps) error
 
-// NativePlacer is the native-Linux side of a policy: it picks the node
-// for each page faulted by the native lazy allocator. free reports a
-// node's free memory (for load-aware placers); the backend performs the
-// allocation with Linux's round-robin fallback.
-type NativePlacer interface {
-	PlaceNode(toucher numa.NodeID, free func(numa.NodeID) int64) numa.NodeID
+// FreeMem reports the free machine memory on a node. *mem.Allocator
+// and xen.Domain implement it; placement rules receive it as an
+// interface, never as a method value, so no fault allocates.
+type FreeMem interface {
+	FreeBytes(node numa.NodeID) int64
+}
+
+// Placer is a policy's placement rule, the one piece of a policy both
+// backends run: it picks the node for one faulted page. accessor is the
+// node of the faulting CPU; homes are the nodes the page may live on in
+// a fixed order (the domain's home nodes under Xen, every node
+// natively); free reports free memory for load-aware rules. The caller
+// allocates on the returned node, falling back when its bank is full.
+type Placer interface {
+	PlaceNode(accessor numa.NodeID, homes []numa.NodeID, free FreeMem) numa.NodeID
 }
 
 // PolicySwitcher is the optional DomainOps extension exposing the
@@ -235,43 +236,74 @@ type PolicySwitcher interface {
 	HypercallSetPolicy(cfg Config) (sim.Time, error)
 }
 
-// Policy is a hypervisor-resident NUMA placement policy for one domain.
-type Policy interface {
-	// Kind reports the registered kind this implements.
-	Kind() Kind
-	// HandleFault resolves a hypervisor page fault on pfn caused by a
-	// vCPU running on accessor. It must leave the entry valid.
-	HandleFault(d DomainOps, pfn mem.PFN, accessor numa.NodeID, kind pt.FaultKind)
-	// OnPageQueue consumes one batched page queue sent by the guest
-	// through HypercallPageQueue. It returns the number of entries whose
-	// hypervisor page-table entry was invalidated (the dominant cost of
-	// the hypercall, §4.2.4).
-	OnPageQueue(d DomainOps, ops []PageOp) int
+// Policy is the hypervisor-resident runtime of one domain's placement
+// policy: the registered Placer behind the fault path, plus the
+// page-queue reconciliation of policies that consume the queue. Build
+// one with Descriptor.Runtime.
+type Policy struct {
+	placer Placer
+	queue  bool
 }
 
-// New builds the runtime policy for kind from the default registry.
-// nodes is the machine's node count, used to range-check parameterized
-// kinds ("bind:9" on an 8-node machine); pass nodes <= 0 when the
-// machine is not known yet (syntax checks only).
-func New(kind Kind, nodes int) (Policy, error) {
-	desc, arg, err := Describe(kind)
-	if err != nil {
-		return nil, err
+// HandleFault resolves a hypervisor page fault on pfn caused by a vCPU
+// running on accessor, leaving the entry valid. A write-protect fault
+// means a migration finished, so the entry is just unprotected;
+// otherwise the placer picks a node and the frame is allocated and
+// mapped through the internal interface. When the adaptive rule decides
+// on this fault, the domain then switches to first-touch.
+func (p *Policy) HandleFault(d DomainOps, pfn mem.PFN, accessor numa.NodeID, kind pt.FaultKind) {
+	if kind == pt.FaultWriteProtected {
+		d.Table().Unprotect(pfn)
+		return
 	}
-	return desc.New(arg, nodes)
+	a, _ := p.placer.(*adaptive)
+	probing := a != nil && !a.switched
+	node := p.placer.PlaceNode(accessor, d.HomeNodes(), d)
+	mfn, err := d.AllocFrameOn(node)
+	if err != nil {
+		panic(fmt.Sprintf("policy: fault allocation failed: %v", err))
+	}
+	d.MapPage(pfn, mfn)
+	if probing && a.switched {
+		// Last step: the switch replaces the domain's Policy, p included.
+		switchToFirstTouch(d)
+	}
 }
 
-// NewNative builds the native-Linux placer for kind, or an error when
-// the policy has no native equivalent (round-1G).
-func NewNative(kind Kind, nodes int) (NativePlacer, error) {
-	desc, arg, err := Describe(kind)
-	if err != nil {
-		return nil, err
+// OnPageQueue consumes one batched page queue sent by the guest through
+// HypercallPageQueue and returns the number of entries whose hypervisor
+// page-table entry was invalidated (the dominant cost of the hypercall,
+// §4.2.4). Policies that do not use the queue ignore it.
+//
+// The reconciliation protocol is §4.2.4's: scan the queue from the most
+// recent operation, keep the first (most recent) operation seen for
+// each page, invalidate pages whose latest operation is a release, and
+// leave reallocated pages where they are (copying their content would
+// be too costly in the common case). A release is the latest operation
+// on its page when no newer operation in the batch names the page; a
+// batch holds at most QueueConfig.BatchSize operations (64 in the
+// paper), so scanning the newer ones is cheaper than hashing every page
+// into a visited set, and allocates nothing.
+func (p *Policy) OnPageQueue(d DomainOps, ops []PageOp) int {
+	if !p.queue {
+		return 0
 	}
-	if desc.Native == nil {
-		return nil, fmt.Errorf("policy: Linux has no %s policy", kind)
+	invalidated := 0
+scan:
+	for i := len(ops) - 1; i >= 0; i-- {
+		op := ops[i]
+		if op.Kind != OpRelease {
+			continue
+		}
+		for _, newer := range ops[i+1:] {
+			if newer.PFN == op.PFN {
+				continue scan
+			}
+		}
+		d.InvalidatePage(op.PFN)
+		invalidated++
 	}
-	return desc.Native(arg, nodes)
+	return invalidated
 }
 
 // BootKind returns the boot layout used when kind is selected at domain

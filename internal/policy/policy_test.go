@@ -31,10 +31,10 @@ func newFakeDomain(homes ...numa.NodeID) *fakeDomain {
 	}
 }
 
-func (d *fakeDomain) HomeNodes() []numa.NodeID          { return d.homes }
-func (d *fakeDomain) Table() *pt.HypervisorTable        { return d.table }
-func (d *fakeDomain) FreeFrame(m mem.MFN)               { d.freed = append(d.freed, m) }
-func (d *fakeDomain) NodeFreeBytes(n numa.NodeID) int64 { return d.free[n] }
+func (d *fakeDomain) HomeNodes() []numa.NodeID      { return d.homes }
+func (d *fakeDomain) Table() *pt.HypervisorTable    { return d.table }
+func (d *fakeDomain) FreeFrame(m mem.MFN)           { d.freed = append(d.freed, m) }
+func (d *fakeDomain) FreeBytes(n numa.NodeID) int64 { return d.free[n] }
 func (d *fakeDomain) NodeOfFrame(m mem.MFN) numa.NodeID {
 	n, ok := d.nodeOf[m]
 	if !ok {
@@ -51,11 +51,26 @@ func (d *fakeDomain) AllocFrameOn(n numa.NodeID) (mem.MFN, error) {
 	return m, nil
 }
 
+// testNodes is the node count of the machine the policy tests build
+// policies for; fake domains use home nodes below it.
+const testNodes = 4
+
+// newPolicy builds kind's runtime policy through the registry for a
+// machine of nodes nodes.
+func newPolicy(kind Kind, nodes int) (*Policy, error) {
+	d, arg, err := Describe(kind)
+	if err != nil {
+		return nil, err
+	}
+	p, err := d.Runtime(arg, nodes)
+	return &p, err
+}
+
 // mustNew builds a policy through the registry, failing the test on a
 // bad kind.
-func mustNew(t *testing.T, k Kind) Policy {
+func mustNew(t *testing.T, k Kind) *Policy {
 	t.Helper()
-	p, err := New(k, 0)
+	p, err := newPolicy(k, testNodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,10 +107,10 @@ func TestKindStrings(t *testing.T) {
 }
 
 func TestNewRejectsUnknownKind(t *testing.T) {
-	if _, err := New(Kind("numa-magic"), 0); err == nil {
+	if _, err := newPolicy(Kind("numa-magic"), testNodes); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
-	if _, err := New(Kind(""), 0); err == nil {
+	if _, err := newPolicy(Kind(""), testNodes); err == nil {
 		t.Fatal("empty kind accepted")
 	}
 }
@@ -125,7 +140,7 @@ func TestRoundStaticFaultRoundRobins(t *testing.T) {
 }
 
 func TestWriteProtectFaultUnprotects(t *testing.T) {
-	for _, kind := range []Kind{Round4K, FirstTouch, Interleave, LeastLoaded, Bind(0)} {
+	for _, kind := range []Kind{Round4K, FirstTouch, Interleave, LeastLoaded, "bind:0"} {
 		d := newFakeDomain(0)
 		p := mustNew(t, kind)
 		m, _ := d.AllocFrameOn(0)
@@ -200,7 +215,7 @@ func TestPageQueueDuplicateReleases(t *testing.T) {
 
 func TestRoundStaticIgnoresPageQueue(t *testing.T) {
 	d := newFakeDomain(0)
-	for _, kind := range []Kind{Round4K, Round1G, Interleave, LeastLoaded, Bind(0)} {
+	for _, kind := range []Kind{Round4K, Round1G, Interleave, LeastLoaded, "bind:0"} {
 		p := mustNew(t, kind)
 		m, _ := d.AllocFrameOn(0)
 		d.MapPage(9, m)

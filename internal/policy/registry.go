@@ -6,11 +6,11 @@ import (
 )
 
 // Descriptor describes one registered policy: its names, its behaviour
-// metadata, and the factories for its three faces (runtime Policy, boot
-// placement, native placement). Registering a Descriptor is all it
-// takes to make a policy runnable end-to-end: the hypervisor, guest,
-// native backend, facade, CLI and experiment layers all consult the
-// registry instead of switching on kinds.
+// metadata, its placement rule (run by both the hypervisor's fault path
+// and native Linux) and its optional boot placement. Registering a
+// Descriptor is all it takes to make a policy runnable end-to-end: the
+// hypervisor, guest, native backend, facade, CLI and experiment layers
+// all consult the registry instead of switching on kinds.
 type Descriptor struct {
 	// Name is the canonical kind ("round-4K"). Lookups are
 	// case-insensitive; Name must not contain ":" or "/".
@@ -32,7 +32,7 @@ type Descriptor struct {
 	// on top ("<name>/carrefour" parses only when true).
 	Carrefour bool
 	// BootOnly kinds are boot layouts that cannot be selected at run
-	// time (round-1G, §4.2.1).
+	// time (round-1G, §4.2.1) and do not exist natively.
 	BootOnly bool
 	// RuntimeOnly kinds cannot be booted; domains running them boot
 	// round-4K and switch through the hypercall (first-touch, §4.2.1).
@@ -46,23 +46,30 @@ type Descriptor struct {
 	// huge regions, keeping guest-contiguous DMA buffers on one node.
 	Contiguous bool
 
-	// New builds the runtime policy. arg is the text after ":" for
-	// parameterized kinds ("" otherwise); nodes is the machine's node
-	// count, <= 0 when unknown (syntax checks only).
-	New func(arg string, nodes int) (Policy, error)
+	// Place builds the placement rule for one domain or native backend.
+	// arg is the text after ":" for parameterized kinds ("" otherwise);
+	// nodes is the machine's node count.
+	Place func(arg string, nodes int) (Placer, error)
 	// NormalizeArg canonicalizes and syntax-checks arg for
 	// parameterized kinds (nil for plain kinds).
 	NormalizeArg func(arg string) (string, error)
 	// Boot eagerly populates a domain's physical space at build time;
 	// nil boots lazily (see BootPlacer).
 	Boot BootPlacer
-	// Native builds the per-backend native-Linux placer; nil means the
-	// policy does not exist natively.
-	Native func(arg string, nodes int) (NativePlacer, error)
 
 	// index is the registration order, used as the stable numeric id in
 	// trace events.
 	index int
+}
+
+// Runtime builds the hypervisor-resident policy for one domain from the
+// descriptor's placement rule.
+func (d Descriptor) Runtime(arg string, nodes int) (Policy, error) {
+	placer, err := d.Place(arg, nodes)
+	if err != nil {
+		return Policy{}, err
+	}
+	return Policy{placer: placer, queue: d.UsesPageQueue}, nil
 }
 
 // DefaultSpelling returns the descriptor's suite-ready lowercase
@@ -93,7 +100,7 @@ func NewRegistry() *Registry {
 }
 
 // Register adds d to the registry. It panics on an empty or malformed
-// name, a duplicate name or alias, or a missing New factory — a broken
+// name, a duplicate name or alias, or a missing Place factory — a broken
 // registration is a programming error that must not surface later as an
 // unknown-policy lookup.
 func (r *Registry) Register(d Descriptor) {
@@ -103,8 +110,8 @@ func (r *Registry) Register(d Descriptor) {
 	if strings.ContainsAny(d.Name, ":/") {
 		panic(fmt.Sprintf("policy: name %q must not contain ':' or '/'", d.Name))
 	}
-	if d.New == nil {
-		panic(fmt.Sprintf("policy: descriptor %q has no New factory", d.Name))
+	if d.Place == nil {
+		panic(fmt.Sprintf("policy: descriptor %q has no Place factory", d.Name))
 	}
 	if d.Parameterized && d.DefaultArg == "" {
 		panic(fmt.Sprintf("policy: parameterized descriptor %q needs a DefaultArg", d.Name))
@@ -174,12 +181,6 @@ func (r *Registry) Resolve(kind Kind) (Descriptor, string, Kind, error) {
 	return d, arg, canon, nil
 }
 
-// Canonical returns kind in canonical spelling.
-func (r *Registry) Canonical(kind Kind) (Kind, error) {
-	_, _, canon, err := r.Resolve(kind)
-	return canon, err
-}
-
 // List returns the registered descriptors in registration order.
 func (r *Registry) List() []Descriptor {
 	out := make([]Descriptor, len(r.order))
@@ -212,9 +213,6 @@ func Describe(kind Kind) (Descriptor, string, error) { return Default.Lookup(kin
 // Resolve resolves kind in the default registry, also returning its
 // canonical spelling.
 func Resolve(kind Kind) (Descriptor, string, Kind, error) { return Default.Resolve(kind) }
-
-// Canonical returns kind's canonical spelling in the default registry.
-func Canonical(kind Kind) (Kind, error) { return Default.Canonical(kind) }
 
 // CheckConfig validates a full configuration against the registry: the
 // kind must be registered and Carrefour may only stack where the

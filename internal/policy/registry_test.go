@@ -11,8 +11,8 @@ import (
 
 func stubDescriptor(name string) Descriptor {
 	return Descriptor{
-		Name: name,
-		New:  func(string, int) (Policy, error) { return &roundStatic{kind: Kind(name)}, nil },
+		Name:  name,
+		Place: placeRoundRobin,
 	}
 }
 
@@ -84,12 +84,12 @@ func TestLookupAliasesAndCase(t *testing.T) {
 		"r4k": Round4K, "ROUND-1G": Round1G, "ft": FirstTouch,
 		"IL": Interleave, "ll": LeastLoaded, "BIND:03": "bind:3",
 	} {
-		got, err := Default.Canonical(in)
+		_, _, got, err := Resolve(in)
 		if err != nil {
-			t.Fatalf("Canonical(%q): %v", in, err)
+			t.Fatalf("Resolve(%q): %v", in, err)
 		}
 		if got != want {
-			t.Errorf("Canonical(%q) = %q, want %q", in, got, want)
+			t.Errorf("Resolve(%q) = %q, want %q", in, got, want)
 		}
 	}
 }
@@ -100,10 +100,10 @@ func TestLookupArguments(t *testing.T) {
 			t.Errorf("Describe(%q) accepted", bad)
 		}
 	}
-	if _, err := New("bind:9", 8); err == nil {
+	if _, err := newPolicy("bind:9", 8); err == nil {
 		t.Error("bind:9 accepted on an 8-node machine")
 	}
-	if _, err := New("bind:7", 8); err != nil {
+	if _, err := newPolicy("bind:7", 8); err != nil {
 		t.Errorf("bind:7 rejected on an 8-node machine: %v", err)
 	}
 }
@@ -216,15 +216,12 @@ func TestInterleaveFaultsRoundRobin(t *testing.T) {
 
 func TestBindFaultsOnBoundNode(t *testing.T) {
 	d := newFakeDomain(0, 1, 2, 3)
-	p := mustNew(t, Bind(2))
+	p := mustNew(t, "bind:2")
 	for i := mem.PFN(0); i < 8; i++ {
 		p.HandleFault(d, i, 0, pt.FaultNotPresent) // accessor ignored
 		if n := d.NodeOfFrame(d.table.Lookup(i).MFN); n != 2 {
 			t.Fatalf("page %d on node %d, want 2", i, n)
 		}
-	}
-	if p.Kind() != Kind("bind:2") {
-		t.Fatalf("kind = %s", p.Kind())
 	}
 }
 

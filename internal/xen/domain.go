@@ -197,9 +197,9 @@ func (d *Domain) FreeFrame(mfn mem.MFN) { d.hv.Alloc.Free(mfn, mem.Order4K) }
 // NodeOfFrame maps a frame to its node.
 func (d *Domain) NodeOfFrame(mfn mem.MFN) numa.NodeID { return d.hv.Alloc.NodeOf(mfn) }
 
-// NodeFreeBytes reports the free machine memory on node, for
-// load-aware policies.
-func (d *Domain) NodeFreeBytes(node numa.NodeID) int64 { return d.hv.Alloc.FreeBytes(node) }
+// FreeBytes reports the free machine memory on node, for load-aware
+// policies.
+func (d *Domain) FreeBytes(node numa.NodeID) int64 { return d.hv.Alloc.FreeBytes(node) }
 
 // --- policy.BootOps (eager boot placement) ---
 
@@ -339,9 +339,9 @@ func (d *Domain) HypercallSetPolicy(cfg policy.Config) (sim.Time, error) {
 	// Build the new policy before any state changes: a rejected switch
 	// must leave the domain untouched (in particular its passthrough
 	// driver).
-	var pol policy.Policy
+	pol := d.pol
 	if cfg.Static != d.cfg.Static {
-		pol, err = desc.New(arg, d.hv.Topo.NumNodes())
+		pol, err = desc.Runtime(arg, d.hv.Topo.NumNodes())
 		if err != nil {
 			return cost, fmt.Errorf("xen: %w", err)
 		}
@@ -353,9 +353,7 @@ func (d *Domain) HypercallSetPolicy(cfg policy.Config) (sim.Time, error) {
 		d.passthrough = false
 		d.hv.PassthroughOffs++
 	}
-	if pol != nil {
-		d.pol = pol
-	}
+	d.pol = pol
 	d.cfg = cfg
 	d.HypercallTime += cost
 	d.hv.HypercallTime += cost

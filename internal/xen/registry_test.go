@@ -76,12 +76,12 @@ func TestInterleaveDomainDistribution(t *testing.T) {
 // TestBindDomainDistribution pins bind:<node>: every page on the bound
 // node regardless of the accessor.
 func TestBindDomainDistribution(t *testing.T) {
-	_, d := lazyDomain(t, policy.Bind(3))
+	_, d := lazyDomain(t, policy.Kind("bind:3"))
 	dist := touchDist(d, 200, 1)
 	if dist[3] != 200 {
 		t.Fatalf("bind:3 distribution %v, want all on node 3", dist)
 	}
-	if d.Policy().Static != policy.Bind(3) {
+	if d.Policy().Static != policy.Kind("bind:3") {
 		t.Fatalf("policy = %v", d.Policy())
 	}
 }
@@ -92,7 +92,7 @@ func TestBindDomainRangeChecked(t *testing.T) {
 	hv := testHV(t)
 	_, err := hv.CreateDomain(DomainSpec{
 		Name: "oob", VCPUs: 1, MemBytes: 1 << 20,
-		PinCPUs: []numa.CPUID{0}, Boot: policy.Bind(9),
+		PinCPUs: []numa.CPUID{0}, Boot: policy.Kind("bind:9"),
 	})
 	if err == nil {
 		t.Fatal("bind:9 accepted on a 4-node machine")
@@ -137,12 +137,12 @@ func TestRuntimeSwitchToRegisteredPolicy(t *testing.T) {
 	if _, err := d.HypercallSetPolicy(policy.Config{Static: policy.Kind("nosuch")}); err == nil {
 		t.Fatal("unknown runtime policy accepted")
 	}
-	if _, err := d.HypercallSetPolicy(policy.Config{Static: policy.Bind(9)}); err == nil {
+	if _, err := d.HypercallSetPolicy(policy.Config{Static: policy.Kind("bind:9")}); err == nil {
 		t.Fatal("out-of-range bind accepted at runtime")
 	}
 	// The descriptor declares bind Carrefour-unstackable; programmatic
 	// configs must be rejected like parsed ones.
-	if _, err := d.HypercallSetPolicy(policy.Config{Static: policy.Bind(1), Carrefour: true}); err == nil {
+	if _, err := d.HypercallSetPolicy(policy.Config{Static: policy.Kind("bind:1"), Carrefour: true}); err == nil {
 		t.Fatal("carrefour stacked on bind at runtime")
 	}
 }

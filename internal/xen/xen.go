@@ -197,7 +197,7 @@ func (h *Hypervisor) CreateDomain(spec DomainSpec) (*Domain, error) {
 	if bdesc.RuntimeOnly {
 		return nil, fmt.Errorf("xen: %s is not a boot layout; boot round-4K and switch (§4.2.1)", spec.Boot)
 	}
-	pol, err := bdesc.New(barg, h.Topo.NumNodes())
+	pol, err := bdesc.Runtime(barg, h.Topo.NumNodes())
 	if err != nil {
 		return nil, fmt.Errorf("xen: domain %q: %w", spec.Name, err)
 	}
