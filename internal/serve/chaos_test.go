@@ -24,8 +24,8 @@ import (
 //  3. after disarming, a warm retry of every request matches the
 //     reference exactly — no fault leaves poison behind;
 //  4. the degradation counters account for every injected fault:
-//     pool drops == fired(pool.reset) + fired(xen.replay), suite cell
-//     errors == fired(exp.cell).
+//     pool drops == fired(pool.reset), suite cell errors ==
+//     fired(exp.cell).
 //
 // Schedules derive from a fixed seed via splitmix64 (no math/rand —
 // the detrand analyzer's discipline extends to the chaos tests, and a
@@ -54,7 +54,6 @@ type chaosSite struct {
 
 var chaosSites = []chaosSite{
 	{"pool.reset", []string{faultinject.ActionError, faultinject.ActionPanic}},
-	{"xen.replay", []string{faultinject.ActionError, faultinject.ActionPanic}},
 	{"exp.cell", []string{faultinject.ActionError, faultinject.ActionPanic}},
 	{"serve.request", []string{faultinject.ActionError, faultinject.ActionPanic, faultinject.ActionDelay}},
 }
@@ -181,9 +180,8 @@ func TestChaosSchedules(t *testing.T) {
 
 	// Every injected fault is accounted for by exactly one degradation
 	// counter.
-	if drops := suite.PoolResetDrops(); drops != fired["pool.reset"]+fired["xen.replay"] {
-		t.Errorf("pool drops = %d, want fired(pool.reset)+fired(xen.replay) = %d+%d",
-			drops, fired["pool.reset"], fired["xen.replay"])
+	if drops := suite.PoolResetDrops(); drops != fired["pool.reset"] {
+		t.Errorf("pool drops = %d, want fired(pool.reset) = %d", drops, fired["pool.reset"])
 	}
 	if errs := suite.CellErrors(); errs != int64(fired["exp.cell"]) {
 		t.Errorf("cell errors = %d, want fired(exp.cell) = %d", errs, fired["exp.cell"])

@@ -219,8 +219,9 @@ func (d *Domain) AllocRegion(node numa.NodeID, order int) (mem.MFN, error) {
 // InvalidatePage).
 func (d *Domain) MapRegion(base mem.PFN, block mem.MFN, order int) {
 	d.frames = append(d.frames, frameAlloc{mfn: block, order: order})
-	for i := uint64(0); i < mem.FramesOf(order); i++ {
-		d.table.Map(base+mem.PFN(i), block+mem.MFN(i))
+	// Top page first, so the table grows once per region.
+	for i := mem.FramesOf(order); i > 0; i-- {
+		d.table.Map(base+mem.PFN(i-1), block+mem.MFN(i-1))
 	}
 }
 

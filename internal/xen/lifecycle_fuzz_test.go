@@ -99,7 +99,8 @@ func (m *modelDomain) frames() int { return len(m.block) + len(m.owned) }
 //   - a failed creation leaves free memory unchanged, and releasing a
 //     domain returns exactly its frames (restoring the pre-create free
 //     bytes when nothing else ran in between);
-//   - after Reset, every node's free blocks equal a fresh boot's.
+//   - after Reset, every node's free blocks and dom0's table equal a
+//     fresh boot's.
 //
 // Each operation takes three bytes: selector, domain/argument, page.
 func FuzzDomainLifecycle(f *testing.F) {
@@ -267,11 +268,20 @@ func FuzzDomainLifecycle(f *testing.F) {
 				if err := hv.Reset(); err != nil {
 					t.Fatalf("step %d: Reset: %v", step, err)
 				}
-				live, m = live[:1], nil
+				live, m = []*modelDomain{adopt(hv.domains[0], 0)}, nil
 				for n := 0; n < topo.NumNodes(); n++ {
 					got, want := hv.Alloc.FreeBlocks(numa.NodeID(n)), fresh.Alloc.FreeBlocks(numa.NodeID(n))
 					if !sameBlocks(got, want) {
 						t.Fatalf("step %d: node %d free blocks after Reset differ from a fresh boot:\n got %v\nwant %v", step, n, got, want)
+					}
+				}
+				d0, f0 := hv.domains[0], fresh.domains[0]
+				if d0.PhysPages() != f0.PhysPages() {
+					t.Fatalf("step %d: dom0 has %d pages after Reset, %d on a fresh boot", step, d0.PhysPages(), f0.PhysPages())
+				}
+				for pfn := mem.PFN(0); pfn < mem.PFN(f0.PhysPages()); pfn++ {
+					if got, want := d0.Table().Lookup(pfn), f0.Table().Lookup(pfn); got != want {
+						t.Fatalf("step %d: dom0 PFN %d maps %+v after Reset, %+v on a fresh boot", step, pfn, got, want)
 					}
 				}
 			}

@@ -10,18 +10,12 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/faultinject"
 	"repro/internal/mem"
 	"repro/internal/numa"
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
-
-// fiReplay is the fault site at the dom0 frame replay of Reset: an
-// injected fault stands in for a replay divergence, so the warm pool's
-// drop-and-cold-build degradation is testable on demand.
-var fiReplay = faultinject.Register("xen.replay")
 
 // DomID identifies a domain. Dom0 is always domain 0.
 type DomID int
@@ -120,6 +114,9 @@ type Hypervisor struct {
 	// outside warm-pool use, so cold-build paths are untouched.
 	shells []*Domain
 
+	// dom0Mem is dom0's memory size, kept so Reset boots dom0 again.
+	dom0Mem int64
+
 	// Counters.
 	Hypercalls      uint64
 	HypercallTime   sim.Time
@@ -136,23 +133,28 @@ type Hypervisor struct {
 // placed on node 0.
 func New(topo *numa.Topology, eng *sim.Engine, cfg Config, dom0MemBytes int64) (*Hypervisor, error) {
 	h := &Hypervisor{
-		Topo:   topo,
-		Alloc:  mem.NewAllocator(topo),
-		Eng:    eng,
-		Cfg:    cfg,
-		cpuUse: make([]int, topo.NumCPUs()),
+		Topo:    topo,
+		Alloc:   mem.NewAllocator(topo),
+		Eng:     eng,
+		Cfg:     cfg,
+		cpuUse:  make([]int, topo.NumCPUs()),
+		dom0Mem: dom0MemBytes,
 	}
-	spec := DomainSpec{
-		Name:     "dom0",
-		VCPUs:    len(topo.Nodes[0].CPUs),
-		MemBytes: dom0MemBytes,
-		PinCPUs:  append([]numa.CPUID(nil), topo.Nodes[0].CPUs...),
-		Boot:     policy.Round1G,
-	}
-	if _, err := h.CreateDomain(spec); err != nil {
-		return nil, fmt.Errorf("xen: creating dom0: %w", err)
+	if err := h.bootDom0(); err != nil {
+		return nil, err
 	}
 	return h, nil
+}
+
+// bootDom0 creates dom0 on a machine with no domains: pinned to the
+// CPUs of node 0, its memory laid out round-1G from node 0.
+func (h *Hypervisor) bootDom0() error {
+	cpus := h.Topo.Nodes[0].CPUs
+	spec := DomainSpec{Name: "dom0", VCPUs: len(cpus), MemBytes: h.dom0Mem, PinCPUs: cpus, Boot: policy.Round1G}
+	if _, err := h.CreateDomain(spec); err != nil {
+		return fmt.Errorf("xen: creating dom0: %w", err)
+	}
+	return nil
 }
 
 // DomainSpec describes a domain to create.
@@ -293,60 +295,26 @@ func (h *Hypervisor) takeShell() *Domain {
 }
 
 // Reset returns the hypervisor to its just-booted state so a warm-pool
-// lease can build new guest domains on it: every domU is torn down (its
-// storage kept as a shell for the next CreateDomain), the buddy
-// allocator is restored to pristine shape wholesale, and dom0's boot
-// allocations are replayed on top so the machine's free memory is
-// bit-identical to a freshly booted hypervisor's. All counters reset.
-//
-// Reset requires that dom0 holds only block allocations from boot (no
-// page-grained ownership), which is true in every cell: nothing runs a
-// policy on dom0. It returns an error — rather than reconstruct an
-// unknowable allocation order, or kill the process — when that
-// precondition fails or the frame replay diverges; a hypervisor whose
-// Reset errored is no longer bit-identical to a cold boot and must be
-// discarded (the warm pool drops it and cold-builds).
+// lease can build new guest domains on it: every domain, dom0 included,
+// is torn down into a shell that the next CreateDomain refills, the
+// buddy allocator is restored to pristine shape wholesale, all counters
+// are zeroed, and dom0 boots again exactly as New boots it. The machine
+// is then bit-identical to a freshly booted one. Reset returns an error
+// only when dom0 fails to boot, which the warm pool answers by dropping
+// the machine and cold-building.
 func (h *Hypervisor) Reset() error {
-	for _, d := range h.domains[1:] {
+	for _, d := range h.domains {
 		d.recycleShell()
 		h.shells = append(h.shells, d)
 	}
-	clear(h.domains[1:])
-	h.domains = h.domains[:1]
-	for i := range h.cpuUse {
-		h.cpuUse[i] = 0
-	}
+	clear(h.domains)
+	h.domains = h.domains[:0]
+	clear(h.cpuUse)
 	h.Hypercalls, h.HypercallTime = 0, 0
 	h.PageFaults, h.PagesMigrated = 0, 0
 	h.EntriesFlushed = 0
 	h.MigrationTime, h.FaultTime = 0, 0
 	h.PassthroughOffs = 0
-
-	dom0 := h.domains[0]
-	for pfn := mem.PFN(0); pfn < mem.PFN(dom0.physPages); pfn++ {
-		if dom0.table.Lookup(pfn).Owned {
-			return fmt.Errorf("xen: Reset with page-grained dom0 allocations")
-		}
-	}
-	// Restore the allocator to pristine shape, then replay dom0's boot
-	// allocations in their original order. The buddy allocator is
-	// deterministic in its state, so each replayed Alloc must return the
-	// frame dom0 already maps — any divergence means the pristine shape
-	// was not restored and the machine would no longer be bit-identical
-	// to a cold boot.
 	h.Alloc.Reset()
-	if err := fiReplay.Fire(); err != nil {
-		return fmt.Errorf("xen: dom0 frame replay: %w", err)
-	}
-	for _, f := range dom0.frames {
-		mfn, err := h.Alloc.Alloc(h.Alloc.NodeOf(f.mfn), f.order)
-		if err != nil || mfn != f.mfn {
-			return fmt.Errorf("xen: dom0 frame replay diverged: got %v/%v, want %d", mfn, err, f.mfn)
-		}
-	}
-	dom0.Faults, dom0.FaultTime = 0, 0
-	dom0.Hypercalls, dom0.HypercallTime = 0, 0
-	dom0.Migrated, dom0.Invalidated = 0, 0
-	dom0.nextAllocNode = 0
-	return nil
+	return h.bootDom0()
 }

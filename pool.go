@@ -14,7 +14,7 @@ import (
 // fiPoolReset is the fault site at the warm lease's reset step: an
 // injected fault (error or panic) exercises the pool's degradation
 // path — drop the machine, count it, cold-build — without a real
-// divergence.
+// failure.
 var fiPoolReset = faultinject.Register("pool.reset")
 
 // poolKey is the run-constant shape of a machine: everything that
@@ -69,7 +69,7 @@ func (p *Pool) Stats() (hits, misses uint64) {
 }
 
 // ResetDrops reports how many leased machines were dropped because
-// their reset diverged or panicked — the pool's degraded-mode counter:
+// their reset failed or panicked — the pool's degraded-mode counter:
 // each drop is one warm lease that fell back to a cold build instead
 // of killing the process.
 func (p *Pool) ResetDrops() uint64 {
@@ -110,10 +110,10 @@ func (p *Pool) release(key poolKey, m *machine) {
 
 // acquire produces the run's machine: a reset warm one when the pool
 // has a matching shape, a cold-built one otherwise. A leased machine
-// whose reset fails — a replay divergence, a panic anywhere in the
-// reset protocol, or an injected fault — is dropped (counted in
-// ResetDrops) and the run degrades to a cold build; the divergence
-// never reaches the caller, and results stay bit-identical because a
+// whose reset fails — an error or a panic anywhere in the reset
+// protocol, or an injected fault — is dropped (counted in ResetDrops)
+// and the run degrades to a cold build; the failure never reaches the
+// caller, and results stay bit-identical because a
 // cold-built machine is the reference the reset protocol reproduces.
 func acquire(o Options, key poolKey) (*machine, error) {
 	p := o.Pool
