@@ -46,9 +46,10 @@ type Backend struct {
 //
 // When prev is a backend of the same queue shape (from an earlier lease
 // of the pooled machine), its guest OS, allocator, queue, process and
-// maps are reset in place and rebound to dom instead of rebuilt,
-// producing a backend bit-identical in behavior to a cold-built one. A
-// nil or shape-mismatched prev falls back to a cold build.
+// maps are reset in place and rebound to dom instead of rebuilt. A nil
+// or shape-mismatched prev is replaced by an empty backend, which the
+// same reset then boots, so a cold build and a warm lease run the same
+// code.
 func RebuildBackend(prev *Backend, hv *xen.Hypervisor, dom *xen.Domain, qcfg QueueConfig, cfg policy.Config) (*Backend, sim.Time, error) {
 	desc, _, canon, err := policy.Resolve(cfg.Static)
 	if err != nil {
@@ -59,27 +60,16 @@ func RebuildBackend(prev *Backend, hv *xen.Hypervisor, dom *xen.Domain, qcfg Que
 	if kernelPages >= dom.PhysPages() {
 		kernelPages = dom.PhysPages() / 4
 	}
-	var b *Backend
-	if prev != nil && prev.OS.Queue.cfg == qcfg {
-		b = prev
-		b.HV = hv
-		b.Dom = dom
-		b.OS.reset(dom, kernelPages)
-		b.proc.reset(b.OS)
-		clear(b.regionVPN)
-		b.cfg = cfg
-		b.contiguous = desc.Contiguous
-	} else {
-		b = &Backend{
-			HV:         hv,
-			Dom:        dom,
-			OS:         NewOS(dom, kernelPages, qcfg),
-			regionVPN:  make(map[*engine.Region][]pt.VPN),
-			cfg:        cfg,
-			contiguous: desc.Contiguous,
-		}
-		b.proc = b.OS.NewProcess(1)
+	b := prev
+	if b == nil || b.OS.Queue.cfg != qcfg {
+		g := &OS{Phys: new(PhysAlloc), Queue: NewPageQueue(dom, qcfg)}
+		b = &Backend{OS: g, proc: g.NewProcess(1), regionVPN: make(map[*engine.Region][]pt.VPN)}
 	}
+	b.HV, b.Dom = hv, dom
+	b.OS.reset(dom, kernelPages)
+	b.proc.reset(b.OS)
+	clear(b.regionVPN)
+	b.cfg, b.contiguous = cfg, desc.Contiguous
 	cost, err := b.OS.SetPolicy(cfg)
 	if err != nil {
 		return nil, 0, err

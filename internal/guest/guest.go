@@ -36,14 +36,6 @@ type PhysAlloc struct {
 	inUse      []bool // indexed by PFN
 }
 
-// NewPhysAlloc manages a physical space of totalPages, with the first
-// reserved pages considered kernel-owned and never handed out.
-func NewPhysAlloc(totalPages, reserved uint64) *PhysAlloc {
-	a := &PhysAlloc{}
-	a.Reset(totalPages, reserved)
-	return a
-}
-
 // Alloc returns one free physical page.
 func (a *PhysAlloc) Alloc() (mem.PFN, error) {
 	if n := len(a.freed); n > 0 {
@@ -81,9 +73,10 @@ func (a *PhysAlloc) InUse() int {
 	return n
 }
 
-// Reset returns the allocator to its just-constructed state for a new
-// physical space of totalPages with the given kernel reservation,
-// keeping the storage of the freed list and the in-use flags.
+// Reset returns the allocator to its just-booted state for a physical
+// space of totalPages, with the first reserved pages kernel-owned and
+// never handed out, keeping the storage of the freed list and the
+// in-use flags. A zero PhysAlloc is empty until its first Reset.
 func (a *PhysAlloc) Reset(totalPages, reserved uint64) {
 	if reserved >= totalPages {
 		panic("guest: reserved pages exceed physical space")
@@ -246,14 +239,12 @@ type OS struct {
 // NewOS boots a guest on dom with the given queue configuration,
 // reserving kernelPages at the bottom of the physical space.
 func NewOS(dom *xen.Domain, kernelPages uint64, qcfg QueueConfig) *OS {
-	return &OS{
-		Dom:   dom,
-		Phys:  NewPhysAlloc(dom.PhysPages(), kernelPages),
-		Queue: NewPageQueue(dom, qcfg),
-	}
+	g := &OS{Phys: new(PhysAlloc), Queue: NewPageQueue(dom, qcfg)}
+	g.reset(dom, kernelPages)
+	return g
 }
 
-// reset reboots the guest on a (possibly different) domain of the same
+// reset boots the guest on a (possibly different) domain of the same
 // queue shape, restoring the allocator and queue to pristine state while
 // keeping their storage.
 func (g *OS) reset(dom *xen.Domain, kernelPages uint64) {

@@ -11,6 +11,14 @@ import (
 	"repro/internal/xen"
 )
 
+// newPhysAlloc returns an allocator booted on a physical space of
+// total pages with the first reserved pages kernel-owned.
+func newPhysAlloc(total, reserved uint64) *PhysAlloc {
+	a := new(PhysAlloc)
+	a.Reset(total, reserved)
+	return a
+}
+
 func testDomain(t *testing.T) (*xen.Hypervisor, *xen.Domain) {
 	t.Helper()
 	topo := numa.SmallMachine(4, 4, 64<<20)
@@ -29,7 +37,7 @@ func testDomain(t *testing.T) (*xen.Hypervisor, *xen.Domain) {
 }
 
 func TestPhysAllocLowFirstThenLIFO(t *testing.T) {
-	a := NewPhysAlloc(100, 10)
+	a := newPhysAlloc(100, 10)
 	p1, err := a.Alloc()
 	if err != nil || p1 != 10 {
 		t.Fatalf("first page = %d, %v; want 10 (after reserve)", p1, err)
@@ -46,7 +54,7 @@ func TestPhysAllocLowFirstThenLIFO(t *testing.T) {
 }
 
 func TestPhysAllocExhaustion(t *testing.T) {
-	a := NewPhysAlloc(12, 10)
+	a := newPhysAlloc(12, 10)
 	if _, err := a.Alloc(); err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +67,7 @@ func TestPhysAllocExhaustion(t *testing.T) {
 }
 
 func TestPhysAllocDoubleFreePanics(t *testing.T) {
-	a := NewPhysAlloc(100, 0)
+	a := newPhysAlloc(100, 0)
 	p, _ := a.Alloc()
 	a.Free(p)
 	defer func() {
@@ -71,7 +79,7 @@ func TestPhysAllocDoubleFreePanics(t *testing.T) {
 }
 
 func TestPhysAllocFreePages(t *testing.T) {
-	a := NewPhysAlloc(20, 4)
+	a := newPhysAlloc(20, 4)
 	p, _ := a.Alloc()
 	q, _ := a.Alloc()
 	a.Free(p)
