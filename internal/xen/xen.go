@@ -303,9 +303,11 @@ func (h *Hypervisor) takeShell() *Domain {
 // only when dom0 fails to boot, which the warm pool answers by dropping
 // the machine and cold-building.
 func (h *Hypervisor) Reset() error {
-	for _, d := range h.domains {
-		d.recycleShell()
-		h.shells = append(h.shells, d)
+	// Shells are popped last-in first-out: pushing dom0 last hands every
+	// domain ID its own shell back, so each keeps storage sized for it.
+	for i := len(h.domains) - 1; i >= 0; i-- {
+		h.domains[i].recycleShell()
+		h.shells = append(h.shells, h.domains[i])
 	}
 	clear(h.domains)
 	h.domains = h.domains[:0]
