@@ -28,7 +28,7 @@ type Backend struct {
 	Alloc *mem.Allocator
 	cfg   policy.Config
 	// placer is the policy's registered placement rule, asked for each
-	// page with every node as a home; rr is the backend's own fallback
+	// page with homes (every node); rr is the backend's own fallback
 	// rotor for full banks.
 	placer policy.Placer
 	homes  []numa.NodeID
@@ -58,9 +58,11 @@ func New(topo *numa.Topology, cfg policy.Config) (*Backend, error) {
 	if err != nil {
 		return nil, fmt.Errorf("linux: %w", err)
 	}
-	b := &Backend{Topo: topo, Alloc: mem.NewAllocator(topo), cfg: cfg, placer: placer}
-	b.homes = b.HomeNodes()
-	return b, nil
+	homes := make([]numa.NodeID, topo.NumNodes())
+	for i := range homes {
+		homes[i] = numa.NodeID(i)
+	}
+	return &Backend{Topo: topo, Alloc: mem.NewAllocator(topo), cfg: cfg, placer: placer, homes: homes}, nil
 }
 
 // Name reports the platform and policy.
@@ -146,10 +148,4 @@ func (b *Backend) ThreadNode(i int) numa.NodeID {
 func (b *Backend) CPUShare(int) float64 { return 1 }
 
 // HomeNodes is every node.
-func (b *Backend) HomeNodes() []numa.NodeID {
-	out := make([]numa.NodeID, b.Topo.NumNodes())
-	for i := range out {
-		out[i] = numa.NodeID(i)
-	}
-	return out
-}
+func (b *Backend) HomeNodes() []numa.NodeID { return b.homes }
