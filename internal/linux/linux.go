@@ -2,10 +2,10 @@
 // directly on the machine under Linux's own NUMA policies (any
 // registered policy that is not a hypervisor boot layout — first-touch,
 // round-4K, interleave, bind:<node>, least-loaded, adaptive — each
-// optionally with Carrefour). There is no hypervisor layer: "physical" pages are
-// machine frames, placement happens at guest fault time exactly as
-// Linux's lazy allocator does (§3.1–3.2), and migrations move frames
-// directly.
+// optionally with Carrefour). There is no hypervisor layer: "physical"
+// pages are machine frames, placement happens at guest fault time
+// exactly as Linux's lazy allocator does (§3.1–3.2), and migrations
+// move frames directly.
 package linux
 
 import (

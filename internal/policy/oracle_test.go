@@ -41,10 +41,11 @@ func (f freeMap) FreeBytes(n numa.NodeID) int64 { return f[n] }
 
 // TestXenAndNativePlaceAlike is the oracle for the policy layer: for
 // every registered policy that also runs natively, the hypervisor fault
-// path on a domain whose home nodes are every node, and the native
-// placer fed the same accessor sequence and the same shrinking free
-// memory, choose the same node for every page. The adaptive policy must
-// also decide to switch at the same fault.
+// path on a domain whose home nodes are every node, and the placement
+// rule driven the way the native backend drives it (the same accessor
+// sequence, its own equally shrinking free memory), choose the same
+// node for every page. The adaptive policy must also decide to switch
+// at the same fault.
 func TestXenAndNativePlaceAlike(t *testing.T) {
 	const nodes = 4
 	const faults = 4 * adaptiveWindow

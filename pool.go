@@ -113,8 +113,8 @@ func (p *Pool) release(key poolKey, m *machine) {
 // whose reset fails — an error or a panic anywhere in the reset
 // protocol, or an injected fault — is dropped (counted in ResetDrops)
 // and the run degrades to a cold build; the failure never reaches the
-// caller, and results stay bit-identical because a
-// cold-built machine is the reference the reset protocol reproduces.
+// caller, and results stay bit-identical because a cold-built machine
+// is the reference the reset protocol reproduces.
 func acquire(o Options, key poolKey) (*machine, error) {
 	p := o.Pool
 	if p != nil {
