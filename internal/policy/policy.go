@@ -162,8 +162,6 @@ type DomainOps interface {
 	AllocFrameOn(node numa.NodeID) (mem.MFN, error)
 	// FreeFrame returns a machine frame to the machine allocator.
 	FreeFrame(mfn mem.MFN)
-	// NodeOfFrame maps a machine frame to its NUMA node.
-	NodeOfFrame(mfn mem.MFN) numa.NodeID
 	// FreeMem reports the free machine memory per node, for load-aware
 	// placement rules such as least-loaded.
 	FreeMem

@@ -194,9 +194,6 @@ func (d *Domain) AllocFrameOn(node numa.NodeID) (mem.MFN, error) {
 // FreeFrame returns one 4 KiB frame.
 func (d *Domain) FreeFrame(mfn mem.MFN) { d.hv.Alloc.Free(mfn, mem.Order4K) }
 
-// NodeOfFrame maps a frame to its node.
-func (d *Domain) NodeOfFrame(mfn mem.MFN) numa.NodeID { return d.hv.Alloc.NodeOf(mfn) }
-
 // FreeBytes reports the free machine memory on node, for load-aware
 // policies.
 func (d *Domain) FreeBytes(node numa.NodeID) int64 { return d.hv.Alloc.FreeBytes(node) }
