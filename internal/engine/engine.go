@@ -153,6 +153,19 @@ func (r *Region) reset() {
 	r.invalidate()
 }
 
+// reserve makes room for n more pages in one step, so the Place that
+// follows fills the region without regrowing it: a cold region's
+// storage ends exactly at its final size, and a recycled one keeps
+// storage that is already large enough.
+func (r *Region) reserve(n int) {
+	if want := len(r.Pages) + n; cap(r.Pages) < want {
+		r.Pages = append(make([]mem.PFN, 0, want), r.Pages...)
+	}
+	if want := len(r.nodes) + n; cap(r.nodes) < want {
+		r.nodes = append(make([]numa.NodeID, 0, want), r.nodes...)
+	}
+}
+
 // AddPage records a materialized page and its placement.
 func (r *Region) AddPage(p mem.PFN, node numa.NodeID) {
 	r.Pages = append(r.Pages, p)

@@ -332,6 +332,27 @@ func TestRunCompletes(t *testing.T) {
 	}
 }
 
+// TestRegionsSizedOnce pins that materialization sizes every region's
+// page storage once, to its final page count: after a cold run no
+// region holds spare capacity left behind by append's regrowth.
+func TestRegionsSizedOnce(t *testing.T) {
+	topo := numa.AMD48Scaled(64)
+	in := &Instance{Prof: testProfile(), Backend: newStub(topo, false), NThreads: 48}
+	if _, err := Run(testConfig(topo), in); err != nil {
+		t.Fatal(err)
+	}
+	regions := append([]*Region{in.hot, in.master}, in.dist...)
+	for _, r := range append(regions, in.priv...) {
+		if r.Len() == 0 {
+			t.Fatalf("region %s holds no pages; the test is vacuous", r.Name)
+		}
+		if cap(r.Pages) != len(r.Pages) || cap(r.nodes) != len(r.nodes) {
+			t.Errorf("region %s: %d pages in cap %d, %d nodes in cap %d",
+				r.Name, len(r.Pages), cap(r.Pages), len(r.nodes), cap(r.nodes))
+		}
+	}
+}
+
 func TestRunDeterminism(t *testing.T) {
 	topo := numa.AMD48Scaled(64)
 	run := func() sim.Time {

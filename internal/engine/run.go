@@ -382,11 +382,17 @@ func (r *runner) materialize(in *Instance) sim.Time {
 			total = d
 		}
 	}
+	// Each region's storage is sized to its page count before Place
+	// fills it.
+	place := func(reg *Region, n int, toucher numa.NodeID) (sim.Time, error) {
+		reg.reserve(n)
+		return in.Backend.Place(reg, n, toucher)
+	}
 	master := in.Threads[0]
-	cost, err := in.Backend.Place(in.hot, in.sizes.hot, master.Node)
+	cost, err := place(in.hot, in.sizes.hot, master.Node)
 	if err == nil {
 		charge(master, cost)
-		cost, err = in.Backend.Place(in.master, in.sizes.master, master.Node)
+		cost, err = place(in.master, in.sizes.master, master.Node)
 	}
 	if err == nil {
 		charge(master, cost)
@@ -396,7 +402,7 @@ func (r *runner) materialize(in *Instance) sim.Time {
 			if t.ID == in.NThreads-1 {
 				want = in.sizes.dist - slice*(in.NThreads-1)
 			}
-			if cost, err = in.Backend.Place(in.dist[t.ID], want, t.Node); err != nil {
+			if cost, err = place(in.dist[t.ID], want, t.Node); err != nil {
 				break
 			}
 			charge(t, cost)
@@ -405,7 +411,7 @@ func (r *runner) materialize(in *Instance) sim.Time {
 	if err == nil {
 		per := in.sizes.priv / in.NThreads
 		for _, t := range in.Threads {
-			if cost, err = in.Backend.Place(in.priv[t.ID], per, t.Node); err != nil {
+			if cost, err = place(in.priv[t.ID], per, t.Node); err != nil {
 				break
 			}
 			charge(t, cost)

@@ -55,16 +55,19 @@ type nodeAlloc struct {
 	freeList [maxOrder + 1][]MFN // LIFO free lists per order
 	// freeMap is the buddy bitmap of each order: bit (mfn-base)>>o of
 	// freeMap[o] is set iff the order-o block at mfn is on freeList[o].
-	// Coalescing and the double-free checks read it instead of searching
-	// the lists.
-	freeMap   [maxOrder + 1][]uint64
+	// Coalescing reads it instead of searching the lists.
+	freeMap [maxOrder + 1][]uint64
+	// allocated holds one bit per frame, set from Alloc to Free. Free
+	// checks its whole range against it, which rejects a double free, a
+	// free inside a free block and a free holding a free block alike.
+	allocated []uint64
 	freeBytes int64
 }
 
 // NewAllocator carves topo's memory into per-node buddy pools. All nodes
 // must have the same bank size (true for every machine in this repo).
-// Every node's buddy bitmaps are slices of one backing array, about two
-// bits per frame.
+// Every node's buddy bitmaps and allocated bitmap are slices of one
+// backing array, about three bits per frame.
 func NewAllocator(topo *numa.Topology) *Allocator {
 	if topo.NumNodes() == 0 {
 		panic("mem: topology has no nodes")
@@ -76,7 +79,7 @@ func NewAllocator(topo *numa.Topology) *Allocator {
 		}
 	}
 	a := &Allocator{topo: topo, framesPerNode: per, nodes: make([]nodeAlloc, topo.NumNodes())}
-	var words uint64
+	words := bitmapWords(per, 0) // the allocated bitmap
 	for o := 0; o <= maxOrder; o++ {
 		words += bitmapWords(per, o)
 	}
@@ -84,6 +87,8 @@ func NewAllocator(topo *numa.Topology) *Allocator {
 	for i := range a.nodes {
 		na := &a.nodes[i]
 		na.base, na.frames = MFN(uint64(i)*per), per
+		w := bitmapWords(per, 0)
+		na.allocated, bits = bits[:w:w], bits[w:]
 		for o := range na.freeMap {
 			w := bitmapWords(per, o)
 			na.freeMap[o], bits = bits[:w:w], bits[w:]
@@ -123,11 +128,11 @@ func (na *nodeAlloc) seed() {
 // NewAllocator seeds — same blocks, same per-order LIFO order — no
 // matter what sequence of Alloc and Free calls ran in between. The
 // existing list and bitmap storage is reused, so a reset machine
-// allocates nothing new, and only the bits of blocks still on the free
-// lists are cleared, so a reset costs O(free blocks), not O(frames). It
-// is the bottom layer of the warm-machine reset protocol: every
-// allocation after a Reset behaves bit-for-bit as on a freshly built
-// allocator.
+// allocates nothing new. Only the buddy bits of blocks still on the
+// free lists are cleared; the allocated bitmap is cleared a word at a
+// time, 64 frames per word. It is the bottom layer of the warm-machine
+// reset protocol: every allocation after a Reset behaves bit-for-bit as
+// on a freshly built allocator.
 func (a *Allocator) Reset() {
 	for i := range a.nodes {
 		na := &a.nodes[i]
@@ -137,6 +142,7 @@ func (a *Allocator) Reset() {
 			}
 			na.freeList[o] = l[:0]
 		}
+		clear(na.allocated)
 		na.seed()
 	}
 }
@@ -189,6 +195,7 @@ func (a *Allocator) Alloc(node numa.NodeID, order int) (MFN, error) {
 		buddy := block + MFN(FramesOf(from))
 		na.push(from, buddy)
 	}
+	setRange(na.allocated, uint64(block-na.base), FramesOf(order))
 	na.freeBytes -= int64(FramesOf(order)) * PageSize
 	return block, nil
 }
@@ -207,21 +214,13 @@ func (a *Allocator) Free(mfn MFN, order int) {
 	if lo+FramesOf(order) > na.frames {
 		panic(fmt.Sprintf("mem: freeing block %d at order %d past the end of node %d's bank", mfn, order, node))
 	}
-	// The block must not be free already: neither a free block's head nor
-	// inside a larger free block that coalescing built around it, found
-	// by probing the aligned head at each higher order holding blocks.
-	for o := order; o <= maxOrder; o++ {
-		if len(na.freeList[o]) > 0 && na.isFree(o, mfn&^MFN(FramesOf(o)-1)) {
-			panic(fmt.Sprintf("mem: double free of MFN %d", mfn))
-		}
+	// Every frame of the block must be allocated: a frame that is free
+	// means a double free, a free inside a larger free block, or a free
+	// holding a smaller one.
+	if !allSet(na.allocated, lo, FramesOf(order)) {
+		panic(fmt.Sprintf("mem: double free: block %d at order %d holds a free frame", mfn, order))
 	}
-	// Nor may it contain a smaller free block: its order-o blocks are the
-	// 2^(order-o) consecutive bits of freeMap[o] from lo>>o.
-	for o := 0; o < order; o++ {
-		if len(na.freeList[o]) > 0 && anySet(na.freeMap[o], lo>>uint(o), FramesOf(order-o)) {
-			panic(fmt.Sprintf("mem: freeing block %d at order %d that holds free memory", mfn, order))
-		}
-	}
+	clearRange(na.allocated, lo, FramesOf(order))
 	na.freeBytes += int64(FramesOf(order)) * PageSize
 	// Coalesce upward while the buddy is free at the same order; a buddy
 	// outside the node bank never is.
@@ -279,23 +278,45 @@ func (na *nodeAlloc) clearFree(order int, block MFN) {
 	*w &^= bit
 }
 
-// anySet reports whether any of bits [lo, lo+n) of bits is set, testing
-// a word at a time.
-func anySet(bits []uint64, lo, n uint64) bool {
+// wordMask returns the bits of word w of a bitmap that fall in the bit
+// range [lo, hi).
+func wordMask(w, lo, hi uint64) uint64 {
+	m := ^uint64(0)
+	if w == lo/64 {
+		m &= ^uint64(0) << (lo % 64)
+	}
+	if end := (w + 1) * 64; end > hi {
+		m &= ^uint64(0) >> (end - hi)
+	}
+	return m
+}
+
+// setRange sets bits [lo, lo+n) of bits, a word at a time.
+func setRange(bits []uint64, lo, n uint64) {
 	hi := lo + n
 	for w := lo / 64; w*64 < hi; w++ {
-		word := bits[w]
-		if w == lo/64 {
-			word &= ^uint64(0) << (lo % 64)
-		}
-		if end := (w + 1) * 64; end > hi {
-			word &= ^uint64(0) >> (end - hi)
-		}
-		if word != 0 {
-			return true
+		bits[w] |= wordMask(w, lo, hi)
+	}
+}
+
+// clearRange clears bits [lo, lo+n) of bits, a word at a time.
+func clearRange(bits []uint64, lo, n uint64) {
+	hi := lo + n
+	for w := lo / 64; w*64 < hi; w++ {
+		bits[w] &^= wordMask(w, lo, hi)
+	}
+}
+
+// allSet reports whether every bit of [lo, lo+n) of bits is set,
+// testing a word at a time.
+func allSet(bits []uint64, lo, n uint64) bool {
+	hi := lo + n
+	for w := lo / 64; w*64 < hi; w++ {
+		if m := wordMask(w, lo, hi); bits[w]&m != m {
+			return false
 		}
 	}
-	return false
+	return true
 }
 
 // isFree reports whether the order-o block at mfn is on the node's free

@@ -269,23 +269,62 @@ func TestFramesOf(t *testing.T) {
 	}
 }
 
-// TestAnySet checks the word-at-a-time range test Free uses to find a
-// free block inside the block being freed against a bit-by-bit scan,
-// for one set bit anywhere in four words and ranges that start, end and
-// span word boundaries anywhere.
-func TestAnySet(t *testing.T) {
-	var bits [4]uint64
-	for p := uint64(0); p < 256; p++ {
-		bits = [4]uint64{}
-		bits[p/64] = 1 << (p % 64)
-		for lo := uint64(0); lo < 256; lo++ {
-			for _, n := range []uint64{1, 2, 7, 63, 64, 65, 127, 128, 129, 200, 256} {
-				if lo+n > 256 {
-					continue
+// TestRangeHelpers checks the word-at-a-time range helpers the
+// allocated bitmap runs on against a bit-by-bit scan, on ranges that
+// start, end and cross at every position around the word boundaries.
+func TestRangeHelpers(t *testing.T) {
+	const size = 256
+	lens := []uint64{1, 2, 7, 63, 64, 65, 127, 128, 129, 200, 256}
+	for lo := uint64(0); lo < size; lo++ {
+		for _, n := range lens {
+			if lo+n > size {
+				continue
+			}
+			hi := lo + n
+			for w := uint64(0); w < size/64; w++ {
+				var want uint64
+				for b := uint64(0); b < 64; b++ {
+					if p := w*64 + b; p >= lo && p < hi {
+						want |= 1 << b
+					}
 				}
-				want := p >= lo && p < lo+n
-				if got := anySet(bits[:], lo, n); got != want {
-					t.Fatalf("bit %d set: anySet(lo=%d, n=%d) = %v, want %v", p, lo, n, got, want)
+				if w*64 < hi && (w+1)*64 > lo {
+					if got := wordMask(w, lo, hi); got != want {
+						t.Fatalf("wordMask(w=%d, lo=%d, hi=%d) = %#x, want %#x", w, lo, hi, got, want)
+					}
+				}
+			}
+			var bits [size / 64]uint64
+			setRange(bits[:], lo, n)
+			for p := uint64(0); p < size; p++ {
+				if got, want := bits[p/64]>>(p%64)&1 == 1, p >= lo && p < hi; got != want {
+					t.Fatalf("setRange(lo=%d, n=%d): bit %d = %v, want %v", lo, n, p, got, want)
+				}
+			}
+			if !allSet(bits[:], lo, n) {
+				t.Fatalf("allSet(lo=%d, n=%d) = false right after setRange", lo, n)
+			}
+			// Clearing any one bit of the range, or widening the range
+			// by one unset bit, must make allSet false.
+			for _, p := range []uint64{lo, (lo + hi) / 2, hi - 1} {
+				bits[p/64] &^= 1 << (p % 64)
+				if allSet(bits[:], lo, n) {
+					t.Fatalf("allSet(lo=%d, n=%d) = true with bit %d clear", lo, n, p)
+				}
+				bits[p/64] |= 1 << (p % 64)
+			}
+			if hi < size && allSet(bits[:], lo, n+1) {
+				t.Fatalf("allSet(lo=%d, n=%d) = true past the set range", lo, n+1)
+			}
+			// Clearing a range of a full bitmap leaves exactly its
+			// complement set.
+			for i := range bits {
+				bits[i] = ^uint64(0)
+			}
+			clearRange(bits[:], lo, n)
+			for p := uint64(0); p < size; p++ {
+				if got, want := bits[p/64]>>(p%64)&1 == 1, p < lo || p >= hi; got != want {
+					t.Fatalf("clearRange(lo=%d, n=%d): bit %d = %v, want %v", lo, n, p, got, want)
 				}
 			}
 		}

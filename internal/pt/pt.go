@@ -143,6 +143,21 @@ type HypervisorTable struct {
 // entry is invalid until mapped.
 func NewHypervisorTable() *HypervisorTable { return &HypervisorTable{} }
 
+// Size extends the table with invalid entries to cover PFNs [0, pages),
+// in one step: a domain sizes its table to its physical memory when it
+// is created, so the faults that fill it never reallocate it. A table
+// that is already that long is left as it is.
+func (h *HypervisorTable) Size(pages uint64) {
+	if uint64(cap(h.entries)) < pages {
+		grown := make([]HypervisorEntry, len(h.entries), pages)
+		copy(grown, h.entries)
+		h.entries = grown
+	}
+	if pages > 0 {
+		h.entries = extend(h.entries, pages-1)
+	}
+}
+
 // SetFaultHandler installs the fault resolution hook (the active NUMA
 // policy registers itself here).
 func (h *HypervisorTable) SetFaultHandler(fn FaultHandler) { h.handler = fn }

@@ -183,3 +183,32 @@ func TestFaultKindString(t *testing.T) {
 		t.Fatal("FaultKind strings wrong")
 	}
 }
+
+// TestHypervisorTableSize pins Size: the sized entries read invalid,
+// mapping inside the sized range never reallocates, and a reset table
+// sized again, smaller, comes back with every entry invalid.
+func TestHypervisorTableSize(t *testing.T) {
+	h := NewHypervisorTable()
+	h.Size(64)
+	if h.Len() != 0 || h.Lookup(63).Valid {
+		t.Fatal("sized entries are not invalid")
+	}
+	pfn := mem.PFN(0)
+	if allocs := testing.AllocsPerRun(10, func() {
+		h.MapOwned(pfn, mem.MFN(100+pfn))
+		pfn++
+	}); allocs != 0 {
+		t.Fatalf("mapping inside the sized range allocated %v times", allocs)
+	}
+	h.Reset()
+	h.Size(8)
+	for p := mem.PFN(0); p < 64; p++ {
+		if h.Lookup(p).Valid {
+			t.Fatalf("PFN %d valid after reset and resize", p)
+		}
+	}
+	h.Map(100, 7) // mapping past the sized range still extends the table
+	if e := h.Lookup(100); !e.Valid || e.MFN != 7 {
+		t.Fatalf("entry past the sized range = %+v", e)
+	}
+}

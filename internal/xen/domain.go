@@ -90,6 +90,7 @@ func newDomain(h *Hypervisor, id DomID, spec DomainSpec, pins []numa.CPUID, boot
 	d.Name = spec.Name
 	d.hv = h
 	d.physPages = uint64(spec.MemBytes) / mem.PageSize
+	d.table.Size(d.physPages)
 	d.bootKind = spec.Boot
 	d.bootPlacer = boot
 	d.cfg = policy.Config{Static: spec.Boot}

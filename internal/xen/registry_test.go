@@ -60,6 +60,31 @@ func TestLazyBootFaultsIn(t *testing.T) {
 	}
 }
 
+// TestLazyTableSizedOnce pins that a domain's hypervisor table is sized
+// to its physical pages when the domain is created: the first-touch
+// faults that fill a lazily booted domain never reallocate it. The
+// warm-up call of AllocsPerRun faults in the first half of the pages,
+// the measured call the second half, which allocates nothing.
+func TestLazyTableSizedOnce(t *testing.T) {
+	_, d := lazyDomain(t, policy.Interleave)
+	half := d.PhysPages() / 2
+	next := mem.PFN(0)
+	allocs := testing.AllocsPerRun(1, func() {
+		for end := next + mem.PFN(half); next < end; next++ {
+			d.Touch(next, 1, true)
+		}
+	})
+	if next != mem.PFN(d.PhysPages()) {
+		t.Fatalf("touched %d of %d pages", next, d.PhysPages())
+	}
+	if allocs != 0 {
+		t.Fatalf("first-touch faults over the second half allocated %v times, want 0", allocs)
+	}
+	if got := d.Table().Len(); uint64(got) != d.PhysPages() {
+		t.Fatalf("%d valid entries after touching every page, want %d", got, d.PhysPages())
+	}
+}
+
 // TestInterleaveDomainDistribution pins interleave's placement: lazy
 // round-robin across all four home nodes, evenly.
 func TestInterleaveDomainDistribution(t *testing.T) {

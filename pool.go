@@ -17,19 +17,21 @@ import (
 // failure.
 var fiPoolReset = faultinject.Register("pool.reset")
 
-// poolKey is the run-constant shape of a machine: everything that
-// determines the sizes of the allocations a cell builds — the scaled
-// topology, the hypervisor configuration that varies per run (IOMMU),
-// the VM count and each VM's memory size. Cells of the same shape reuse
-// each other's machines; the key is purely a performance choice (reset
-// machines are pristine, so a collision would still be correct — the
-// recycled buckets would just be the wrong size).
+// poolKey is the shape of a machine a cell can lease: the scaled
+// topology, the hypervisor configuration that varies per run (IOMMU)
+// and the VM count. The VMs' memory sizes are not part of it. A reset
+// machine hosts a VM of any size and keeps the storage it grew for the
+// largest VM it has hosted (the hypervisor table of each domain slot,
+// the guest frame tables, the engine's region page lists), so a smaller
+// VM reuses that storage and a larger one grows it once. Keyed by VM
+// size as well, `xnuma all` found a warm machine on only 58% of its
+// Xen leases; keyed by this tuple, on 97%. The key is purely a
+// performance choice: reset machines are pristine, so any lease is
+// correct.
 type poolKey struct {
 	scale   int
 	xenplus bool
 	vms     int
-	mem0    int64
-	mem1    int64
 }
 
 // machine is one poolable world: a hypervisor plus the per-VM guest

@@ -20,7 +20,7 @@ func BenchmarkCellConstruction(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		key := poolKey{scale: o.Scale, xenplus: o.XenPlus, vms: 1, mem0: shape.memBytes}
+		key := poolKey{scale: o.Scale, xenplus: o.XenPlus, vms: 1}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

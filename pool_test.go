@@ -10,7 +10,9 @@ import (
 // small → large → small, then to a consolidated and a colocated pair.
 // Each pooled result must be bit-for-bit the cold-built (Options.Pool
 // nil) result of the same cell: a warm machine that last hosted a
-// bigger or smaller VM must not leak anything into the next one.
+// bigger or smaller VM must not leak anything into the next one. The
+// pool keys machines by (scale, IOMMU, VM count) only, so every lease
+// after the first of each VM count must find a warm machine.
 func TestPoolReusesMachinesAcrossVMSizes(t *testing.T) {
 	const small, large = "swaptions", "x264"
 	o := Options{Scale: 256, Seed: 7}
@@ -35,19 +37,22 @@ func TestPoolReusesMachinesAcrossVMSizes(t *testing.T) {
 	}
 	cells := []struct {
 		name string
+		vms  int
 		run  func(Options) ([]Result, error)
 	}{
-		{"small", single(small, "first-touch")},
-		{"large", single(large, "round-4k")},
-		{"small again", single(small, "round-4k/carrefour")},
-		{"consolidated pair", pair(Consolidated)},
-		{"colocated pair", pair(Colocated)},
+		{"small", 1, single(small, "first-touch")},
+		{"large", 1, single(large, "round-4k")},
+		{"small again", 1, single(small, "round-4k/carrefour")},
+		{"consolidated pair", 2, pair(Consolidated)},
+		{"colocated pair", 2, pair(Colocated)},
 	}
 	for _, xenplus := range []bool{false, true} {
 		o := o
 		o.XenPlus = xenplus
 		po := o
 		po.Pool = NewPool()
+		leased := map[int]bool{}
+		var wantHits, wantMisses uint64
 		for _, c := range cells {
 			want, err := c.run(o)
 			if err != nil {
@@ -59,6 +64,15 @@ func TestPoolReusesMachinesAcrossVMSizes(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("xenplus=%v %s: pooled result diverges:\npooled: %+v\nfresh:  %+v", xenplus, c.name, got, want)
+			}
+			if leased[c.vms] {
+				wantHits++
+			} else {
+				wantMisses++
+			}
+			leased[c.vms] = true
+			if hits, misses := po.Pool.Stats(); hits != wantHits || misses != wantMisses {
+				t.Errorf("xenplus=%v %s: pool hits/misses = %d/%d, want %d/%d", xenplus, c.name, hits, misses, wantHits, wantMisses)
 			}
 		}
 	}

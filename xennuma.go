@@ -156,7 +156,7 @@ func RunXen(app string, pol Policy, o Options) (Result, error) {
 		return Result{}, err
 	}
 	topo := scaledTopo(o.Scale)
-	key := poolKey{scale: o.Scale, xenplus: o.XenPlus, vms: 1, mem0: shape.memBytes}
+	key := poolKey{scale: o.Scale, xenplus: o.XenPlus, vms: 1}
 	m, err := acquire(o, key)
 	if err != nil {
 		return Result{}, err
@@ -251,7 +251,7 @@ func RunXenPair(app1 string, pol1 Policy, app2 string, pol2 Policy, mode PairMod
 		return Result{}, Result{}, err
 	}
 	topo := scaledTopo(o.Scale)
-	key := poolKey{scale: o.Scale, xenplus: o.XenPlus, vms: 2, mem0: shape1.memBytes, mem1: shape2.memBytes}
+	key := poolKey{scale: o.Scale, xenplus: o.XenPlus, vms: 2}
 	m, err := acquire(o, key)
 	if err != nil {
 		return Result{}, Result{}, err
