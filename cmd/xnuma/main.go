@@ -24,8 +24,9 @@
 //	-scale N        machine/footprint scale divisor (default 64)
 //	-seed N         simulation seed (default 1)
 //	-parallel N     worker count for the experiment scheduler (default: all CPUs)
-//	-progress       report per-experiment timing on stderr; sweeps also
-//	                report live cells/sec while running
+//	-progress       report per-experiment timing and the warm pool's
+//	                hits/misses on stderr; sweeps also report live
+//	                cells/sec while running
 //	-md             render tables as Markdown
 //	-cpuprofile f   write a CPU profile covering the whole invocation to f
 //	-memprofile f   write an end-of-run heap profile to f
@@ -148,10 +149,13 @@ usage:
 	report := func(id string, fn func(*exp.Suite) *exp.Table) {
 		start := time.Now()
 		before := s.CellsComputed()
+		hits0, misses0 := s.PoolStats()
 		tbl := fn(s)
 		if *progress {
-			fmt.Fprintf(stderr, "xnuma: %s: %d new runs in %v (%d workers)\n",
-				id, s.CellsComputed()-before, time.Since(start).Round(time.Millisecond), s.Workers())
+			hits, misses := s.PoolStats()
+			fmt.Fprintf(stderr, "xnuma: %s: %d new runs in %v (%d workers, pool %d hits / %d misses)\n",
+				id, s.CellsComputed()-before, time.Since(start).Round(time.Millisecond), s.Workers(),
+				hits-hits0, misses-misses0)
 		}
 		fmt.Fprintln(stdout, render(tbl))
 	}

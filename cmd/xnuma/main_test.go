@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -174,6 +175,39 @@ func TestSweepProgress(t *testing.T) {
 	// must have served at least one warm lease.
 	if !regexp.MustCompile(`pool [1-9]\d* hits`).MatchString(errb) {
 		t.Errorf("pool reported no hits on a repeated-shape sweep: %q", errb)
+	}
+}
+
+// TestExperimentProgress pins the per-experiment -progress line: run
+// count, elapsed time, workers and the pool's hit/miss split of that
+// experiment alone. Running the experiment twice makes the second line
+// all cache hits, which must report no new runs and no leases.
+func TestExperimentProgress(t *testing.T) {
+	code, _, errb := runCLI(t, "-scale", "256", "-progress", "fig1", "fig1")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, errb)
+	}
+	re := regexp.MustCompile(`^xnuma: fig1: (\d+) new runs in \S+ \((\d+) workers, pool (\d+) hits / (\d+) misses\)$`)
+	lines := strings.Split(strings.TrimSpace(errb), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("want two progress lines, got %q", errb)
+	}
+	var n [2][4]int
+	for i, line := range lines {
+		m := re.FindStringSubmatch(line)
+		if m == nil {
+			t.Fatalf("progress line %q does not match %s", line, re)
+		}
+		for j := range n[i] {
+			n[i][j], _ = strconv.Atoi(m[j+1])
+		}
+	}
+	runs, hits, misses := n[0][0], n[0][2], n[0][3]
+	if runs == 0 || hits == 0 || hits+misses > runs {
+		t.Errorf("first fig1: %d runs, pool %d hits / %d misses; want runs, a warm lease, and at most one lease per run", runs, hits, misses)
+	}
+	if second := n[1]; second[0] != 0 || second[2] != 0 || second[3] != 0 {
+		t.Errorf("cached fig1 reported %d runs, pool %d hits / %d misses; want all zero", second[0], second[2], second[3])
 	}
 }
 
