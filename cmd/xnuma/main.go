@@ -75,7 +75,7 @@ func runIO(argv []string, stdin io.Reader, stdout, stderr io.Writer) (code int) 
 	seed := fs.Uint64("seed", 1, "simulation seed")
 	markdown := fs.Bool("md", false, "render tables as Markdown instead of ASCII")
 	parallel := fs.Int("parallel", 0, "max concurrent simulations (0 = one per CPU)")
-	progress := fs.Bool("progress", false, "report per-experiment timing and run counts on stderr")
+	progress := fs.Bool("progress", false, "report per-experiment timing, run counts and pool hits/misses on stderr")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile covering the whole invocation to this file")
 	memprofile := fs.String("memprofile", "", "write an end-of-run heap profile to this file")
 	fs.Usage = func() {

@@ -8,7 +8,10 @@ import "testing"
 // and release. The fresh variant is the pre-pool cost every cell used
 // to pay; the pooled variant is the steady-state cost of a sweep whose
 // cells reuse one machine shape. scripts/bench_suite.sh records both in
-// BENCH_suite.json — the gap between them is the warm pool's win.
+// BENCH_suite.json — the gap between them is the warm pool's win. On a
+// 2-vCPU Intel Xeon at GOMAXPROCS=2 (go1.24.0), fresh is about 350 µs,
+// 204 KB and 231 allocations per cell, pooled about 240 µs, 1.1 KB and
+// 13 allocations.
 func BenchmarkCellConstruction(b *testing.B) {
 	pol, err := ParsePolicy("first-touch")
 	if err != nil {

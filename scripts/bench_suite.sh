@@ -10,6 +10,11 @@
 #                                      # vs the committed file
 #   COUNT=3 scripts/bench_suite.sh     # more -count repetitions (best wins)
 #
+# Record mode stamps the file with the host that measured it: CPU
+# model, nproc, GOMAXPROCS (the benchmark name's -N suffix, 1 when
+# absent) and Go version. Check mode compares numbers only, so read a
+# gate failure against a file from another host with that in mind.
+#
 # A sweep batch builds whole suites so it still allocates, but with the
 # warm-machine pool the per-cell churn is bounded: bytes/op and
 # allocs/op get the same soft 25% gate as ns/op so pool regressions
@@ -50,6 +55,10 @@ END {
 }')
 set -- $line
 name=$1 iters=$2 ns=$3 cells=$4 bytes=$5 allocs=$6
+case "$name" in
+*-*) gomaxprocs=${name##*-} name=${name%-*} ;;
+*) gomaxprocs=1 ;;
+esac
 
 # Cell-construction sub-benchmarks (no cells/sec metric): fields are
 # name iters ns "ns/op" bytes "B/op" allocs "allocs/op".
@@ -118,8 +127,13 @@ fi
 
 # The cell_* keys are trajectory only (no gate): they decompose the
 # suite numbers into per-cell machine construction, fresh vs pooled.
+cpu=$(awk -F: '/^model name/ { sub(/^[ \t]+/, "", $2); print $2; exit }' /proc/cpuinfo 2>/dev/null)
 cat >BENCH_suite.json <<EOF
 {
+  "host_cpu": "${cpu:-unknown}",
+  "host_nproc": $(nproc),
+  "host_gomaxprocs": $gomaxprocs,
+  "go_version": "$(go env GOVERSION)",
   "benchmark": "$name",
   "iterations": $iters,
   "ns_per_op": $ns,
