@@ -149,9 +149,7 @@ func NewHypervisorTable() *HypervisorTable { return &HypervisorTable{} }
 // that is already that long is left as it is.
 func (h *HypervisorTable) Size(pages uint64) {
 	if uint64(cap(h.entries)) < pages {
-		grown := make([]HypervisorEntry, len(h.entries), pages)
-		copy(grown, h.entries)
-		h.entries = grown
+		h.entries = append(make([]HypervisorEntry, 0, pages), h.entries...)
 	}
 	if pages > 0 {
 		h.entries = extend(h.entries, pages-1)
