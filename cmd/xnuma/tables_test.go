@@ -10,13 +10,16 @@ import (
 
 var updateTables = flag.Bool("update", false, "rewrite the table fixture with the current output")
 
-// TestTablesMatchFixture pins two CLI tables at scale 256 to a committed
-// fixture, byte for byte: the policy registry listing and the policy
-// sweep over every application. The sweep runs every registered policy,
-// plain and with each Carrefour variant, on every app, so a change that
-// moves any placement decision on either backend fails here. An
+// TestTablesMatchFixture pins five CLI tables at scale 256 to a committed
+// fixture, byte for byte: the policy registry listing, the policy sweep
+// over every application, and figures 1, 8 and 9. The sweep runs every
+// registered policy, plain and with each Carrefour variant, on every
+// app, so a change that moves any placement decision on either backend
+// fails here. The figures add the cell shapes the sweep lacks: native
+// Linux next to single-VM Xen (fig1), colocated pairs on both node
+// halves (fig8) and consolidated pairs (fig9). An
 // intentional behaviour change regenerates the fixture with
-// `go test -run TestTablesMatchFixture -update ./cmd/xnuma/` and
+// `go test ./cmd/xnuma/ -run TestTablesMatchFixture -update` and
 // justifies the diff.
 func TestTablesMatchFixture(t *testing.T) {
 	if testing.Short() {
@@ -29,6 +32,9 @@ func TestTablesMatchFixture(t *testing.T) {
 	for _, args := range [][]string{
 		{"-scale", "256", "policies"},
 		{"-scale", "256", "-parallel", "2", "sweep", "-apps", "all"},
+		{"-scale", "256", "-parallel", "2", "fig1"},
+		{"-scale", "256", "-parallel", "2", "fig8"},
+		{"-scale", "256", "-parallel", "2", "fig9"},
 	} {
 		var errb strings.Builder
 		if code := runIO(args, strings.NewReader(""), &out, &errb); code != 0 {
