@@ -7,7 +7,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/faultinject"
 	"repro/internal/guest"
-	"repro/internal/workload"
 	"repro/internal/xen"
 )
 
@@ -150,47 +149,4 @@ func resetMachine(m *machine) (err error) {
 		return err
 	}
 	return m.hv.Reset()
-}
-
-// releaseMachine hands the machine back to the pool, if any. Machines
-// of runs that failed mid-build are dropped instead: their state is
-// neither pristine nor resettable-by-construction.
-func releaseMachine(o Options, key poolKey, m *machine) {
-	if p := o.Pool; p != nil {
-		p.release(key, m)
-	}
-}
-
-// runShape is the cached per-cell constant state derived from
-// (scale, app, vms): the workload profile and the VM memory size.
-// Sweeps rebuild the same handful of shapes thousands of times, so —
-// like topoCache one level down — the derivation runs once per shape
-// instead of once per cell.
-type runShape struct {
-	prof     workload.Profile
-	memBytes int64
-}
-
-type shapeKey struct {
-	scale int
-	app   string
-	vms   int
-}
-
-var shapeCache sync.Map // shapeKey -> runShape
-
-// cellShape returns the cached profile and VM memory size for one cell.
-// o must be normalized.
-func cellShape(o Options, app string, vms int) (runShape, error) {
-	key := shapeKey{scale: o.Scale, app: app, vms: vms}
-	if s, ok := shapeCache.Load(key); ok {
-		return s.(runShape), nil
-	}
-	prof, err := workload.Get(app)
-	if err != nil {
-		return runShape{}, err
-	}
-	shape := runShape{prof: prof, memBytes: vmMemBytes(scaledTopo(o.Scale), prof, o, vms)}
-	s, _ := shapeCache.LoadOrStore(key, shape)
-	return s.(runShape), nil
 }

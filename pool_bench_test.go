@@ -1,6 +1,10 @@
 package xennuma
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/workload"
+)
 
 // BenchmarkCellConstruction isolates the per-cell machine cost from the
 // simulation itself: one op is acquire (hypervisor build or warm-pool
@@ -19,10 +23,11 @@ func BenchmarkCellConstruction(b *testing.B) {
 	}
 	run := func(b *testing.B, o Options) {
 		o = o.normalized()
-		shape, err := cellShape(o, "swaptions", 1)
+		prof, err := workload.Get("swaptions")
 		if err != nil {
 			b.Fatal(err)
 		}
+		memBytes := vmMemBytes(scaledTopo(o.Scale), prof, o, 1)
 		key := poolKey{scale: o.Scale, xenplus: o.XenPlus, vms: 1}
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -31,10 +36,12 @@ func BenchmarkCellConstruction(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := buildXenInstance(m, 0, shape.prof, pol, o, nil, shape.memBytes); err != nil {
+			if _, err := buildXenInstance(m, 0, prof, pol, o, nil, memBytes); err != nil {
 				b.Fatal(err)
 			}
-			releaseMachine(o, key, m)
+			if o.Pool != nil {
+				o.Pool.release(key, m)
+			}
 		}
 	}
 	b.Run("fresh", func(b *testing.B) {

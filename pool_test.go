@@ -3,6 +3,8 @@ package xennuma
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/workload"
 )
 
 // TestPoolReusesMachinesAcrossVMSizes leases one pool's machines, one
@@ -16,11 +18,15 @@ import (
 func TestPoolReusesMachinesAcrossVMSizes(t *testing.T) {
 	const small, large = "swaptions", "x264"
 	o := Options{Scale: 256, Seed: 7}
+	n := o.normalized()
 	for _, vms := range []int{1, 2} {
-		a, errA := cellShape(o.normalized(), small, vms)
-		b, errB := cellShape(o.normalized(), large, vms)
-		if errA != nil || errB != nil || a.memBytes >= b.memBytes {
-			t.Fatalf("VM sizes %d and %d do not grow small → large; the test is vacuous", a.memBytes, b.memBytes)
+		a, errA := workload.Get(small)
+		b, errB := workload.Get(large)
+		if errA != nil || errB != nil {
+			t.Fatal(errA, errB)
+		}
+		if ma, mb := vmMemBytes(scaledTopo(n.Scale), a, n, vms), vmMemBytes(scaledTopo(n.Scale), b, n, vms); ma >= mb {
+			t.Fatalf("VM sizes %d and %d do not grow small → large; the test is vacuous", ma, mb)
 		}
 	}
 	single := func(app, pol string) func(Options) ([]Result, error) {
@@ -75,5 +81,29 @@ func TestPoolReusesMachinesAcrossVMSizes(t *testing.T) {
 				t.Errorf("xenplus=%v %s: pool hits/misses = %d/%d, want %d/%d", xenplus, c.name, hits, misses, wantHits, wantMisses)
 			}
 		}
+	}
+}
+
+// TestBadInputsLeaseNoMachine pins that a Xen cell checks its inputs
+// before it leases a machine: an unknown application or pair mode
+// returns its error without cold-building a machine, so the pool
+// counts no miss and drops nothing.
+func TestBadInputsLeaseNoMachine(t *testing.T) {
+	o := Options{Scale: 256, Pool: NewPool()}
+	ft := MustPolicy("first-touch")
+	if _, err := RunXen("no-such-app", ft, o); err == nil {
+		t.Error("RunXen with an unknown app: no error")
+	}
+	if _, _, err := RunXenPair("swaptions", ft, "no-such-app", ft, Consolidated, false, o); err == nil {
+		t.Error("RunXenPair with an unknown app: no error")
+	}
+	if _, _, err := RunXenPair("swaptions", ft, "x264", ft, PairMode(7), false, o); err == nil {
+		t.Error("RunXenPair with PairMode(7): no error")
+	}
+	if hits, misses := o.Pool.Stats(); hits != 0 || misses != 0 {
+		t.Errorf("pool hits/misses = %d/%d after rejected cells, want 0/0", hits, misses)
+	}
+	if drops := o.Pool.ResetDrops(); drops != 0 {
+		t.Errorf("pool reset drops = %d after rejected cells, want 0", drops)
 	}
 }

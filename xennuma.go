@@ -150,33 +150,62 @@ func (o Options) normalized() Options {
 // whole machine (the paper's single-VM setting, §5.4.1) under the given
 // NUMA policy, and returns its completion time and placement statistics.
 func RunXen(app string, pol Policy, o Options) (Result, error) {
-	o = o.normalized()
-	shape, err := cellShape(o, app, 1)
+	res, err := runXen(o.normalized(), 1, xenVM{app: app, pol: pol})
 	if err != nil {
 		return Result{}, err
 	}
-	topo := scaledTopo(o.Scale)
-	key := poolKey{scale: o.Scale, xenplus: o.XenPlus, vms: 1}
-	m, err := acquire(o, key)
-	if err != nil {
-		return Result{}, err
-	}
-	inst, err := buildXenInstance(m, 0, shape.prof, pol, o, nil, shape.memBytes)
-	if err != nil {
-		return Result{}, err
-	}
-	cfg := engineConfig(topo, o)
-	res, err := engine.Run(cfg, inst)
-	if err != nil {
-		return Result{}, err
-	}
-	releaseMachine(o, key, m)
 	return res[0], nil
 }
 
+// xenVM describes one VM of a Xen cell: its application, its policy and
+// the CPUs its vCPUs are pinned to (nil pins the first Threads CPUs).
+type xenVM struct {
+	app  string
+	pol  Policy
+	pins []numa.CPUID
+}
+
+// runXen runs one Xen cell, the single-VM and pair settings alike: the
+// VMs share one machine of shape (scale, IOMMU, len(vms)), each sized as
+// one of memVMs VMs splitting its memory. Every app is resolved before
+// the machine is leased, so a bad input costs the pool nothing. The
+// machine goes back to o.Pool only when the run completes: a machine
+// whose run failed mid-build is dropped, its state neither pristine nor
+// resettable by construction. o must be normalized.
+func runXen(o Options, memVMs int, vms ...xenVM) ([]Result, error) {
+	profs := make([]workload.Profile, len(vms))
+	for i, vm := range vms {
+		prof, err := workload.Get(vm.app)
+		if err != nil {
+			return nil, err
+		}
+		profs[i] = prof
+	}
+	key := poolKey{scale: o.Scale, xenplus: o.XenPlus, vms: len(vms)}
+	m, err := acquire(o, key)
+	if err != nil {
+		return nil, err
+	}
+	insts := make([]*engine.Instance, len(vms))
+	for i, vm := range vms {
+		memBytes := vmMemBytes(m.hv.Topo, profs[i], o, memVMs)
+		if insts[i], err = buildXenInstance(m, i, profs[i], vm.pol, o, vm.pins, memBytes); err != nil {
+			return nil, err
+		}
+	}
+	res, err := engine.Run(engineConfig(o), insts...)
+	if err != nil {
+		return nil, err
+	}
+	if o.Pool != nil {
+		o.Pool.release(key, m)
+	}
+	return res, nil
+}
+
 // engineConfig builds the run configuration from the options.
-func engineConfig(topo *numa.Topology, o Options) engine.Config {
-	cfg := engine.DefaultConfig(topo, o.Scale)
+func engineConfig(o Options) engine.Config {
+	cfg := engine.DefaultConfig(scaledTopo(o.Scale), o.Scale)
 	cfg.Seed = o.Seed
 	cfg.MaxTime = o.MaxTime
 	cfg.Carrefour.EnableReplication = o.Replication
@@ -188,6 +217,20 @@ func engineConfig(topo *numa.Topology, o Options) engine.Config {
 	return cfg
 }
 
+// fillInstance sets what an engine instance runs: the app on backend b
+// with the options' threads and page size, the policy's Carrefour
+// stacking, and MCS locks when mcs is set and the app uses pthread
+// synchronization.
+func fillInstance(in *engine.Instance, prof workload.Profile, b engine.Backend, pol Policy, o Options, mcs bool) {
+	in.Prof = prof
+	in.Backend = b
+	in.NThreads = o.Threads
+	in.Carrefour = pol.Carrefour
+	in.CarrefourMode = carrefourMode(pol)
+	in.MCS = mcs && prof.UsesPthreadSync
+	in.LargePages = o.LargePages
+}
+
 // RunLinux runs one application natively under a Linux NUMA policy
 // (first-touch or round-4K, optionally with Carrefour).
 func RunLinux(app string, pol Policy, o Options) (Result, error) {
@@ -196,22 +239,13 @@ func RunLinux(app string, pol Policy, o Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	topo := scaledTopo(o.Scale)
-	b, err := linux.New(topo, pol)
+	b, err := linux.New(scaledTopo(o.Scale), pol)
 	if err != nil {
 		return Result{}, err
 	}
-	inst := &engine.Instance{
-		Prof:          prof,
-		Backend:       b,
-		NThreads:      o.Threads,
-		Carrefour:     pol.Carrefour,
-		CarrefourMode: carrefourMode(pol),
-		MCS:           o.MCS && prof.UsesPthreadSync,
-		LargePages:    o.LargePages,
-	}
-	cfg := engineConfig(topo, o)
-	res, err := engine.Run(cfg, inst)
+	inst := &engine.Instance{}
+	fillInstance(inst, prof, b, pol, o, o.MCS)
+	res, err := engine.Run(engineConfig(o), inst)
 	if err != nil {
 		return Result{}, err
 	}
@@ -235,32 +269,16 @@ const (
 // halves swapped; pass swap=true for the second run.
 func RunXenPair(app1 string, pol1 Policy, app2 string, pol2 Policy, mode PairMode, swap bool, o Options) (Result, Result, error) {
 	o = o.normalized()
+	topo := scaledTopo(o.Scale)
 	// Memory sizing counts VMs per memory partition: colocated VMs split
 	// the machine (each sized as one of two), consolidated VMs each span
 	// all of it (each sized as if alone), matching the paper's setups.
 	memVMs := 1
-	if mode == Colocated {
-		memVMs = 2
-	}
-	shape1, err := cellShape(o, app1, memVMs)
-	if err != nil {
-		return Result{}, Result{}, err
-	}
-	shape2, err := cellShape(o, app2, memVMs)
-	if err != nil {
-		return Result{}, Result{}, err
-	}
-	topo := scaledTopo(o.Scale)
-	key := poolKey{scale: o.Scale, xenplus: o.XenPlus, vms: 2}
-	m, err := acquire(o, key)
-	if err != nil {
-		return Result{}, Result{}, err
-	}
 	var pins1, pins2 []numa.CPUID
-	threads := o.Threads
 	switch mode {
 	case Colocated:
-		threads = 24
+		memVMs = 2
+		o.Threads = 24
 		half := topo.NumNodes() / 2
 		for n, node := range topo.Nodes {
 			for _, c := range node.CPUs {
@@ -282,22 +300,10 @@ func RunXenPair(app1 string, pol1 Policy, app2 string, pol2 Policy, mode PairMod
 	default:
 		return Result{}, Result{}, fmt.Errorf("xennuma: unknown pair mode %d", mode)
 	}
-	o1, o2 := o, o
-	o1.Threads, o2.Threads = threads, threads
-	inst1, err := buildXenInstance(m, 0, shape1.prof, pol1, o1, pins1, shape1.memBytes)
+	res, err := runXen(o, memVMs, xenVM{app1, pol1, pins1}, xenVM{app2, pol2, pins2})
 	if err != nil {
 		return Result{}, Result{}, err
 	}
-	inst2, err := buildXenInstance(m, 1, shape2.prof, pol2, o2, pins2, shape2.memBytes)
-	if err != nil {
-		return Result{}, Result{}, err
-	}
-	cfg := engineConfig(topo, o)
-	res, err := engine.Run(cfg, inst1, inst2)
-	if err != nil {
-		return Result{}, Result{}, err
-	}
-	releaseMachine(o, key, m)
 	return res[0], res[1], nil
 }
 
@@ -365,13 +371,7 @@ func buildXenInstance(m *machine, slot int, prof workload.Profile, pol Policy, o
 	} else {
 		in.Recycle()
 	}
-	in.Prof = prof
-	in.Backend = b
-	in.NThreads = o.Threads
-	in.Carrefour = pol.Carrefour
-	in.CarrefourMode = carrefourMode(pol)
-	in.MCS = o.XenPlus && prof.UsesPthreadSync
-	in.LargePages = o.LargePages
+	fillInstance(in, prof, b, pol, o, o.XenPlus)
 	return in, nil
 }
 
