@@ -154,7 +154,6 @@ type runner struct {
 	// Carrefour-tick scratch: the tick rebuilds the sampler view from
 	// the stream table every interval, so the backing stores are reused.
 	//xnuma:scratch
-	moves    []carrefour.Move   // migrations recorded by pageSet.Migrate
 	shared   []float64          // running-thread node distribution
 	accArena []float64          // per-sample accessor rows, carved per tick
 	pageSets []pageSet          // sample adapter arena
@@ -879,7 +878,6 @@ func (r *runner) carrefourTick(i int, in *Instance) {
 			in.burstLeft = r.cfg.CarrefourEvery + 1
 		}
 	}
-	r.moves = r.moves[:0]
 	r.tickUtil = append(r.tickUtil[:0], r.ctrlUtil...)
 	tick := carrefour.Tick{
 		CtrlUtil:    r.tickUtil,
@@ -891,13 +889,9 @@ func (r *runner) carrefourTick(i int, in *Instance) {
 	if res.Migrated == 0 {
 		return
 	}
-	// Each migration copies one page across the interconnect; charge the
-	// bytes to the next epoch and the CPU cost as debt spread across the
-	// instance's threads.
-	for _, mv := range r.moves {
-		in.pendingMoveBytes[int(mv.From)*r.nNodes+int(mv.To)] += 4096
-		in.movesPending = true
-	}
+	// pageSet.Migrate charged each page's copy traffic to the next
+	// epoch; charge the CPU cost as debt spread across the instance's
+	// threads.
 	costNs := float64(res.Migrated) * 6000 / float64(in.NThreads)
 	for _, t := range in.Threads {
 		if !t.Done {
@@ -999,7 +993,7 @@ func (r *runner) samples(in *Instance) []carrefour.Sample {
 //
 //xnuma:noalloc
 func (r *runner) mkSample(set *pageSet, in *Instance, reg *Region, share float64, accessors []float64, hot bool) carrefour.Sample {
-	set.r, set.b, set.moves = reg, in.Backend, &r.moves
+	set.r, set.in, set.n = reg, in, r.nNodes
 	return carrefour.Sample{
 		Set:         set,
 		AccessShare: share,
@@ -1009,14 +1003,12 @@ func (r *runner) mkSample(set *pageSet, in *Instance, reg *Region, share float64
 	}
 }
 
-// pageSet adapts a Region + Backend to carrefour.PageSet, recording each
-// move for traffic accounting.
+// pageSet adapts one of an instance's regions to carrefour.PageSet,
+// charging each migration's copy traffic to the instance.
 type pageSet struct {
-	r *Region
-	b Backend
-	// moves points at the runner's shared migration log, reset each tick.
-	//xnuma:scratch
-	moves *[]carrefour.Move
+	r  *Region
+	in *Instance
+	n  int // node count, the row stride of in.pendingMoveBytes
 }
 
 func (s *pageSet) Len() int                 { return s.r.Len() }
@@ -1027,10 +1019,12 @@ func (s *pageSet) NodeOf(i int) numa.NodeID { return s.r.NodeOf(i) }
 func (s *pageSet) Replicate() bool { return s.r.Replicate() }
 func (s *pageSet) Migrate(i int, to numa.NodeID) bool {
 	from := s.r.NodeOf(i)
-	if !s.b.Migrate(s.r, i, to) {
+	if !s.in.Backend.Migrate(s.r, i, to) {
 		return false
 	}
-	*s.moves = append(*s.moves, carrefour.Move{From: from, To: to})
+	// The page crosses the interconnect once, in the next epoch.
+	s.in.pendingMoveBytes[int(from)*s.n+int(to)] += 4096
+	s.in.movesPending = true
 	return true
 }
 
