@@ -162,9 +162,11 @@ type DomainOps interface {
 	AllocFrameOn(node numa.NodeID) (mem.MFN, error)
 	// FreeFrame returns a machine frame to the machine allocator.
 	FreeFrame(mfn mem.MFN)
-	// FreeMem reports the free machine memory per node, for load-aware
-	// placement rules such as least-loaded.
-	FreeMem
+	// FreeMem reports free machine memory per node, for load-aware rules
+	// such as least-loaded. It is a method, not an embedded FreeMem:
+	// converting DomainOps to FreeMem on a fault goes through the
+	// runtime's type-assertion cache, which allocates when it fills.
+	FreeMem() FreeMem
 	// MapPage installs pfn→mfn and notifies placement observers.
 	// This is the first function of the internal interface.
 	MapPage(pfn mem.PFN, mfn mem.MFN)
@@ -204,8 +206,8 @@ type BootOps interface {
 type BootPlacer func(b BootOps) error
 
 // FreeMem reports the free machine memory on a node. *mem.Allocator
-// and xen.Domain implement it; placement rules receive it as an
-// interface, never as a method value, so no fault allocates.
+// implements it; placement rules receive it as an interface, never as a
+// method value, so no fault allocates.
 type FreeMem interface {
 	FreeBytes(node numa.NodeID) int64
 }
@@ -256,7 +258,7 @@ func (p *Policy) HandleFault(d DomainOps, pfn mem.PFN, accessor numa.NodeID, kin
 	}
 	a, _ := p.placer.(*adaptive)
 	probing := a != nil && !a.switched
-	node := p.placer.PlaceNode(accessor, d.HomeNodes(), d)
+	node := p.placer.PlaceNode(accessor, d.HomeNodes(), d.FreeMem())
 	mfn, err := d.AllocFrameOn(node)
 	if err != nil {
 		panic(fmt.Sprintf("policy: fault allocation failed: %v", err))

@@ -31,10 +31,10 @@ func newFakeDomain(homes ...numa.NodeID) *fakeDomain {
 	}
 }
 
-func (d *fakeDomain) HomeNodes() []numa.NodeID      { return d.homes }
-func (d *fakeDomain) Table() *pt.HypervisorTable    { return d.table }
-func (d *fakeDomain) FreeFrame(m mem.MFN)           { d.freed = append(d.freed, m) }
-func (d *fakeDomain) FreeBytes(n numa.NodeID) int64 { return d.free[n] }
+func (d *fakeDomain) HomeNodes() []numa.NodeID   { return d.homes }
+func (d *fakeDomain) Table() *pt.HypervisorTable { return d.table }
+func (d *fakeDomain) FreeFrame(m mem.MFN)        { d.freed = append(d.freed, m) }
+func (d *fakeDomain) FreeMem() FreeMem           { return freeMap(d.free) }
 func (d *fakeDomain) NodeOfFrame(m mem.MFN) numa.NodeID {
 	n, ok := d.nodeOf[m]
 	if !ok {

@@ -195,9 +195,9 @@ func (d *Domain) AllocFrameOn(node numa.NodeID) (mem.MFN, error) {
 // FreeFrame returns one 4 KiB frame.
 func (d *Domain) FreeFrame(mfn mem.MFN) { d.hv.Alloc.Free(mfn, mem.Order4K) }
 
-// FreeBytes reports the free machine memory on node, for load-aware
+// FreeMem reports the machine's free memory per node, for load-aware
 // policies.
-func (d *Domain) FreeBytes(node numa.NodeID) int64 { return d.hv.Alloc.FreeBytes(node) }
+func (d *Domain) FreeMem() policy.FreeMem { return d.hv.Alloc }
 
 // --- policy.BootOps (eager boot placement) ---
 
