@@ -10,7 +10,8 @@ import (
 // TestRefreshStreamsFoldSkip checks the steady-state fast path: when no
 // region mutated (every gen counter unchanged) and no thread finished,
 // refreshStreams must return without touching the folded rows, and any
-// of those conditions changing — or force — must rebuild them.
+// of those conditions changing — or a cleared foldValid — must rebuild
+// them.
 func TestRefreshStreamsFoldSkip(t *testing.T) {
 	topo := numa.AMD48Scaled(64)
 	in := &Instance{Prof: testProfile(), Backend: newStub(topo, false), NThreads: 4}
@@ -18,41 +19,42 @@ func TestRefreshStreamsFoldSkip(t *testing.T) {
 	if err := r.setup(); err != nil {
 		t.Fatal(err)
 	}
-	in.refreshStreams(false)
+	in.refreshStreams()
 	orig := in.rows[0]
 	// Poke a sentinel into the rows: a skipped refresh leaves it, a
 	// rebuild overwrites it (folded shares are never negative).
 	in.rows[0] = -1
-	in.refreshStreams(false)
+	in.refreshStreams()
 	if in.rows[0] != -1 {
 		t.Fatal("refreshStreams rebuilt despite unchanged gens and live count")
 	}
-	// force (the NoBatch reference kernel) always rebuilds.
-	in.refreshStreams(true)
+	// Clearing foldValid (how the reference kernel forces a fold)
+	// always rebuilds.
+	in.foldValid = false
+	in.refreshStreams()
 	if in.rows[0] != orig {
 		t.Fatalf("forced refresh left rows[0] = %v, want %v", in.rows[0], orig)
 	}
 	// A placement mutation bumps the region gen and defeats the skip.
 	in.rows[0] = -1
 	in.hot.Replicate()
-	in.refreshStreams(false)
+	in.refreshStreams()
 	if in.rows[0] == -1 {
 		t.Fatal("refreshStreams skipped after a placement mutation")
 	}
 	// A thread finishing changes the live count and defeats the skip.
 	in.rows[0] = -1
 	in.Threads[3].Done = true
-	in.refreshStreams(false)
+	in.refreshStreams()
 	if in.rows[0] == -1 {
 		t.Fatal("refreshStreams skipped after a thread finished")
 	}
 }
 
-// TestRunnerRowArena checks the batched kernel's row packing: every
-// instance's folded rows alias one contiguous runner-owned arena, in
-// instance order, capacity-capped so an append through one instance's
-// slice can never spill into its neighbour; the NoBatch reference
-// kernel leaves instances on private buffers.
+// TestRunnerRowArena checks the kernel's row packing: every instance's
+// folded rows alias one contiguous runner-owned arena, in instance
+// order, capacity-capped so an append through one instance's slice can
+// never spill into its neighbour.
 func TestRunnerRowArena(t *testing.T) {
 	topo := numa.AMD48Scaled(64)
 	nn := topo.NumNodes()
@@ -75,23 +77,9 @@ func TestRunnerRowArena(t *testing.T) {
 		t.Fatalf("row slices not capacity-capped: caps %d, %d", cap(a.rows), cap(b.rows))
 	}
 	// The fold must reuse the arena backing, never reallocate off it.
-	a.refreshStreams(false)
-	b.refreshStreams(false)
+	a.refreshStreams()
+	b.refreshStreams()
 	if &a.rows[0] != &r.rowArena[0] || &b.rows[0] != &r.rowArena[3*nn] {
 		t.Fatal("foldRows moved instance rows off the arena")
-	}
-	cfg := testConfig(topo)
-	cfg.NoBatch = true
-	c := &Instance{Prof: testProfile(), Backend: newStub(topo, false), NThreads: 2}
-	r2 := &runner{cfg: cfg, insts: []*Instance{c}, rand: sim.NewRand(1)}
-	if err := r2.setup(); err != nil {
-		t.Fatal(err)
-	}
-	if r2.rowArena != nil {
-		t.Fatal("NoBatch built a row arena")
-	}
-	c.refreshStreams(true)
-	if len(c.rows) != 2*nn {
-		t.Fatalf("NoBatch rows len = %d, want %d", len(c.rows), 2*nn)
 	}
 }

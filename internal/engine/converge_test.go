@@ -8,14 +8,14 @@ import (
 	"repro/internal/sim"
 )
 
-// runConverge executes one run with the given NoConverge setting through
-// a hand-built runner (Run hides it) and returns the results plus the
-// number of epochs the fast path skipped.
-func runConverge(t *testing.T, noConverge, carrefour bool) ([]Result, uint64) {
+// runConverge executes one run through a hand-built runner and returns
+// the results plus the number of epochs the fast path skipped. With full
+// set, the test clears r.converged before every epoch, so each one runs
+// the full fixed-point computation.
+func runConverge(t *testing.T, full, carrefour bool) ([]Result, uint64) {
 	t.Helper()
 	topo := numa.AMD48Scaled(64)
 	cfg := testConfig(topo)
-	cfg.NoConverge = noConverge
 	in := &Instance{
 		Prof:      testProfile(),
 		Backend:   newStub(topo, true),
@@ -26,7 +26,14 @@ func runConverge(t *testing.T, noConverge, carrefour bool) ([]Result, uint64) {
 	if err := r.setup(); err != nil {
 		t.Fatal(err)
 	}
-	r.loop()
+	if full {
+		loopWith(r, func(step int) {
+			r.converged = false
+			r.epoch(step)
+		})
+	} else {
+		r.loop()
+	}
 	res, err := r.results()
 	if err != nil {
 		t.Fatal(err)
@@ -36,15 +43,15 @@ func runConverge(t *testing.T, noConverge, carrefour bool) ([]Result, uint64) {
 
 // TestConvergedFastPathMatchesFullKernel pins the converged-epoch fast
 // path: a run with the fast path enabled must produce results
-// bit-for-bit identical to the full computation (Config.NoConverge),
-// and the fast path must actually fire — otherwise the test is vacuous
-// and the optimization dead.
+// bit-for-bit identical to the full computation of every epoch, and the
+// fast path must actually fire — otherwise the test is vacuous and the
+// optimization dead.
 func TestConvergedFastPathMatchesFullKernel(t *testing.T) {
 	for _, carrefour := range []bool{false, true} {
 		full, skippedFull := runConverge(t, true, carrefour)
 		fast, skippedFast := runConverge(t, false, carrefour)
 		if skippedFull != 0 {
-			t.Fatalf("carrefour=%v: NoConverge run skipped %d epochs", carrefour, skippedFull)
+			t.Fatalf("carrefour=%v: full-kernel run skipped %d epochs", carrefour, skippedFull)
 		}
 		if skippedFast == 0 {
 			t.Errorf("carrefour=%v: fast path never fired; optimization is dead", carrefour)

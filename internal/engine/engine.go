@@ -342,10 +342,10 @@ type Instance struct {
 	Backend   Backend
 	NThreads  int
 	Carrefour bool
-	// CarrefourMode restricts the instance's Carrefour controller to a
-	// heuristic subset (§7's migration-only / replication-only knobs);
-	// the zero value defers to Config.Carrefour.Mode (itself ModeFull
-	// by default). Ignored when Carrefour is off.
+	// CarrefourMode selects which of the instance's Carrefour heuristics
+	// run: every enabled one (ModeFull, the zero value) or §7's
+	// migration-only / replication-only subsets. It replaces the run
+	// config's Carrefour.Mode. Ignored when Carrefour is off.
 	CarrefourMode carrefour.Mode
 	// MCS enables the spin-lock mitigation for pthread-blocking apps
 	// (Xen+ and LinuxNUMA apply it to facesim and streamcluster).
@@ -441,11 +441,6 @@ func (in *Instance) Recycle() { in.recycled = true }
 type regionSizes struct {
 	hot, master, priv, dist int
 }
-
-// DefaultCrossShare documents the default fraction of distributed-shared
-// accesses that cross slice boundaries; workload profiles override it
-// per application (Profile.CrossShare).
-const DefaultCrossShare = 0.25
 
 // weights returns the access-stream weights of the instance's profile.
 //

@@ -179,7 +179,7 @@ func TestStreamTableRefresh(t *testing.T) {
 	if err := r.setup(); err != nil {
 		t.Fatal(err)
 	}
-	in.refreshStreams(false)
+	in.refreshStreams()
 	tbl := &in.streamTab
 	kinds := []streamKind{streamHot, streamMaster, streamPrivate, streamDistOwn, streamDistCross}
 	if len(tbl.streams) != len(kinds) {
@@ -208,13 +208,13 @@ func TestStreamTableRefresh(t *testing.T) {
 		t.Fatal("hot stream local before replication")
 	}
 	in.hot.Replicate()
-	in.refreshStreams(false)
+	in.refreshStreams()
 	if !tbl.find(streamHot).local {
 		t.Fatal("hot stream not local after replication")
 	}
 	// The refresh reuses the table storage: no growth across epochs.
 	before := cap(tbl.streams)
-	in.refreshStreams(false)
+	in.refreshStreams()
 	if cap(tbl.streams) != before {
 		t.Fatal("refreshStreams reallocated the stream slice")
 	}
@@ -259,15 +259,15 @@ func TestFoldRowsMatchesStreams(t *testing.T) {
 			}
 		}
 	}
-	in.refreshStreams(false)
+	in.refreshStreams()
 	check()
 	// Replication redirects the hot stream into the thread's own node.
 	in.hot.Replicate()
-	in.refreshStreams(false)
+	in.refreshStreams()
 	check()
 	// The fold reuses its buffer: no growth across epochs.
 	before := cap(in.rows)
-	in.refreshStreams(false)
+	in.refreshStreams()
 	if cap(in.rows) != before {
 		t.Fatal("foldRows reallocated the row buffer")
 	}

@@ -47,9 +47,6 @@ func benchEpoch(b *testing.B, backend Backend) {
 	prof.BaselineSeconds = 1e9 // never finishes: every epoch is steady-state
 	in := &Instance{Prof: prof, Backend: backend, NThreads: 48}
 	cfg := testConfig(topo)
-	// The bench measures the full kernel: with the converged fast path
-	// on, steady-state epochs would skip the very passes being timed.
-	cfg.NoConverge = true
 	r := &runner{cfg: cfg, insts: []*Instance{in}, rand: sim.NewRand(cfg.Seed)}
 	if err := r.setup(); err != nil {
 		b.Fatal(err)
@@ -61,6 +58,10 @@ func benchEpoch(b *testing.B, backend Backend) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.now = sim.Time(i) * cfg.Epoch
+		// The bench measures the full kernel: with the converged fast
+		// path on, steady-state epochs would skip the very passes being
+		// timed.
+		r.converged = false
 		r.epoch(i)
 	}
 }

@@ -12,58 +12,47 @@ import (
 	"repro/internal/sim"
 )
 
+// Run constants of the modeled machine.
+const (
+	// carrefourEvery is Carrefour's decision interval in epochs.
+	carrefourEvery = 20
+	// ctrlBWBps is the per-node memory controller bandwidth (13 GiB/s on
+	// AMD48).
+	ctrlBWBps = 13 * (1 << 30)
+)
+
+// disk is the benchmark disk every instance's I/O streams from.
+var disk = iosim.DefaultDisk()
+
 // Config parameterizes a run.
 type Config struct {
 	Topo *numa.Topology
 	Seed uint64
 	// Epoch is the simulation quantum.
 	Epoch sim.Time
-	// CarrefourEvery is the decision interval in epochs.
-	CarrefourEvery int
 	// MaxTime aborts runaway runs.
 	MaxTime sim.Time
-	// CtrlBWBps is the per-node memory controller bandwidth (13 GiB/s on
-	// AMD48).
-	CtrlBWBps float64
 	// Scale divides application footprints (the machine must be built
 	// with banks divided by the same factor).
 	Scale int
-	Disk  iosim.Disk
 	// Carrefour tunes the dynamic policy's thresholds.
 	Carrefour carrefour.Config
 	// TLB, when non-nil, charges address-translation overhead per
 	// access (the paper's §7 large-page extension). Nil preserves the
 	// paper's baseline, which does not model TLBs.
 	TLB *numa.TLBModel
-	// NoBatch selects the per-instance reference kernel: direct
-	// AccessCycles/PathLinkUtil calls for every cost-matrix cell,
-	// per-instance row buffers instead of the runner arena, and a full
-	// stream-table rebuild every epoch. Results are bit-for-bit
-	// identical to the batched kernel — it exists so the equivalence
-	// tests can pin that, not for production sweeps.
-	NoBatch bool
-	// NoConverge disables the converged-epoch fast path, forcing the
-	// full fixed-point computation every epoch. Results are bit-for-bit
-	// identical either way (the fast path only skips epochs whose full
-	// recomputation would reproduce the previous epoch's state exactly);
-	// the flag exists for the equivalence tests and for benchmarks that
-	// must measure the full kernel.
-	NoConverge bool
 }
 
 // DefaultConfig returns the standard configuration for a machine scaled
 // by scale.
 func DefaultConfig(topo *numa.Topology, scale int) Config {
 	return Config{
-		Topo:           topo,
-		Seed:           1,
-		Epoch:          5 * sim.Millisecond,
-		CarrefourEvery: 20,
-		MaxTime:        300 * sim.Second,
-		CtrlBWBps:      13 * (1 << 30),
-		Scale:          scale,
-		Disk:           iosim.DefaultDisk(),
-		Carrefour:      carrefour.DefaultConfig(),
+		Topo:      topo,
+		Seed:      1,
+		Epoch:     5 * sim.Millisecond,
+		MaxTime:   300 * sim.Second,
+		Scale:     scale,
+		Carrefour: carrefour.DefaultConfig(),
 	}
 }
 
@@ -114,15 +103,13 @@ type runner struct {
 	units [][]float64
 
 	// Run-constant node geometry, hoisted out of the fixed-point loop:
-	// nNodes is the node count and hops[src*nNodes+dst] the interconnect
-	// hop count (Topo.Distance never changes during a run). cost is the
-	// shared pair cost model for cfg.Topo (base cycles and contention
-	// coefficients), fetched from a process-wide cache so every runner
-	// on the same topology — the whole sweep batch — reuses one;
-	// freqGHz mirrors the latency model's frequency so the hot loop
-	// converts cycles to nanoseconds without copying the model.
+	// nNodes is the node count; cost is the shared pair cost model for
+	// cfg.Topo (base cycles and contention coefficients), fetched from a
+	// process-wide cache so every runner on the same topology — the
+	// whole sweep batch — reuses one; freqGHz mirrors the latency
+	// model's frequency so the hot loop converts cycles to nanoseconds
+	// without copying the model.
 	nNodes  int
-	hops    []int
 	cost    *numa.AccessCostModel
 	freqGHz float64
 
@@ -138,8 +125,7 @@ type runner struct {
 	// rowArena packs every instance's folded per-thread node rows into
 	// one contiguous block (in.rows slices alias it), so the fixed-point
 	// walk over a whole cell is one linear pass instead of per-instance
-	// pointer chasing. The reference kernel (Config.NoBatch) leaves
-	// instances on private buffers instead.
+	// pointer chasing.
 	rowArena []float64
 
 	// Scratch buffers, reused so steady-state epochs allocate nothing.
@@ -163,20 +149,14 @@ type runner struct {
 func (r *runner) setup() error {
 	epochSec := float64(r.cfg.Epoch) / 1e9
 	n := r.cfg.Topo.NumNodes()
-	r.load = metrics.NewEpochLoad(r.cfg.Topo, epochSec, r.cfg.CtrlBWBps)
+	r.load = metrics.NewEpochLoad(r.cfg.Topo, epochSec, ctrlBWBps)
 	r.ctrlUtil = make([]float64, n)
 	r.nNodes = n
-	r.hops = make([]int, n*n)
 	r.cycles = make([]float64, n*n)
 	r.linkUtil = make([]float64, len(r.cfg.Topo.Links))
 	r.ctrlPen = make([]float64, n)
 	r.cost = costModelFor(r.cfg.Topo)
 	r.freqGHz = r.cfg.Topo.Latency.FreqGHz
-	for src := 0; src < n; src++ {
-		for dst := 0; dst < n; dst++ {
-			r.hops[src*n+dst] = r.cfg.Topo.Distance(numa.NodeID(src), numa.NodeID(dst))
-		}
-	}
 	for _, in := range r.insts {
 		if err := in.Prof.Validate(); err != nil {
 			return err
@@ -184,14 +164,10 @@ func (r *runner) setup() error {
 		if in.NThreads <= 0 {
 			return fmt.Errorf("engine: instance %s has no threads", in.Prof.Name)
 		}
-		r.instLoads = append(r.instLoads, metrics.NewEpochLoad(r.cfg.Topo, epochSec, r.cfg.CtrlBWBps))
+		r.instLoads = append(r.instLoads, metrics.NewEpochLoad(r.cfg.Topo, epochSec, ctrlBWBps))
 		r.stats = append(r.stats, metrics.NewRunStats(r.cfg.Topo))
 		ccfg := r.cfg.Carrefour
-		if in.CarrefourMode != carrefour.ModeFull {
-			// A per-instance variant overrides the run config's mode;
-			// the zero value defers to it.
-			ccfg.Mode = in.CarrefourMode
-		}
+		ccfg.Mode = in.CarrefourMode
 		r.ctrls = append(r.ctrls, carrefour.New(ccfg))
 		r.units = append(r.units, make([]float64, in.NThreads))
 		if err := r.buildInstance(in); err != nil {
@@ -207,18 +183,16 @@ func (r *runner) setup() error {
 	}
 	r.groupUnits = make([]float64, maxThreads)
 	r.groupCyc = make([]float64, maxThreads)
-	if !r.cfg.NoBatch {
-		total := 0
-		for _, in := range r.insts {
-			total += in.NThreads * n
-		}
-		r.rowArena = make([]float64, total)
-		off := 0
-		for _, in := range r.insts {
-			sz := in.NThreads * n
-			in.rows = r.rowArena[off : off+sz : off+sz]
-			off += sz
-		}
+	total := 0
+	for _, in := range r.insts {
+		total += in.NThreads * n
+	}
+	r.rowArena = make([]float64, total)
+	off := 0
+	for _, in := range r.insts {
+		sz := in.NThreads * n
+		in.rows = r.rowArena[off : off+sz : off+sz]
+		off += sz
 	}
 	r.initTimes = make([]sim.Time, len(r.insts))
 	for i, in := range r.insts {
@@ -241,7 +215,7 @@ func (r *runner) hoistRunConstants(in *Instance, epochSec float64) {
 	}
 	if in.ioStream.DemandBps > 0 {
 		path, _ := in.Backend.IO()
-		delivered, progress := in.ioStream.Delivered(path, r.cfg.Disk)
+		delivered, progress := in.ioStream.Delivered(path, disk)
 		in.ioProgress = progress
 		bytes := delivered * epochSec
 		targets := in.ioStream.HomeNodes
@@ -361,7 +335,7 @@ func (r *runner) buildInstance(in *Instance) error {
 		DemandBps:  in.Prof.DiskMBps * 1.06e6,
 		ReqBytes:   in.Prof.DiskReqBytes,
 		Placement:  placement,
-		BufferNode: r.cfg.Disk.Node,
+		BufferNode: disk.Node,
 		HomeNodes:  in.Backend.HomeNodes(),
 		Penalty:    in.Prof.IOPenalty,
 	}
@@ -457,12 +431,11 @@ func (r *runner) loop() {
 // so their outputs (r.units, the per-instance loads, the latencies)
 // would be reproduced exactly. Subsequent epochs skip straight to
 // progress and statistics on the stale-but-identical state, until a
-// completion or a tick perturbs the fixed point. Config.NoConverge
-// (and the NoBatch reference kernel) force the full computation.
+// completion or a tick perturbs the fixed point.
 //
 //xnuma:noalloc
 func (r *runner) epoch(step int) {
-	if r.converged && !r.cfg.NoBatch && !r.cfg.NoConverge {
+	if r.converged {
 		r.convergedEpochs++
 		completed := r.progress()
 		for i := range r.insts {
@@ -497,7 +470,7 @@ func (r *runner) epoch(step int) {
 	}
 	for _, in := range r.insts {
 		if !in.done {
-			in.refreshStreams(r.cfg.NoBatch)
+			in.refreshStreams()
 		}
 	}
 	// Damped fixed-point iterations couple access rates and latency
@@ -507,6 +480,7 @@ func (r *runner) epoch(step int) {
 	const iters = 4
 	for iter := 0; iter < iters; iter++ {
 		r.fillLoads(iter == iters-1)
+		r.fillCycles()
 		r.updateLatencies()
 	}
 	completed := r.progress()
@@ -523,7 +497,7 @@ func (r *runner) epoch(step int) {
 //
 //xnuma:noalloc
 func (r *runner) runTicks(step int) bool {
-	if r.cfg.CarrefourEvery <= 0 || step%r.cfg.CarrefourEvery != 0 {
+	if step%carrefourEvery != 0 {
 		return false
 	}
 	ran := false
@@ -657,9 +631,9 @@ func (r *runner) ioFactor(in *Instance, record bool, il *metrics.EpochLoad) floa
 		return 1
 	}
 	for _, n := range in.ioTargets {
-		r.load.AddDMA(r.cfg.Disk.Node, n, in.ioPerTarget)
+		r.load.AddDMA(disk.Node, n, in.ioPerTarget)
 		if record {
-			il.AddDMA(r.cfg.Disk.Node, n, in.ioPerTarget)
+			il.AddDMA(disk.Node, n, in.ioPerTarget)
 		}
 	}
 	return in.ioProgress
@@ -683,19 +657,14 @@ func (r *runner) overheadFrac(in *Instance) float64 {
 }
 
 // updateLatencies recomputes each thread's average memory access latency
-// from the current loads. The access cost depends only on the (src, dst)
-// node pair — hop count, destination controller utilization, worst link
-// on the route — so it is filled once per iteration into an nNodes²
-// matrix; each thread then reduces its folded node row against its
-// source node's cost row instead of re-deriving the cost per stream.
+// from the cost matrix fillCycles left for this iteration. The access
+// cost depends only on the (src, dst) node pair — hop count, destination
+// controller utilization, worst link on the route — so each thread
+// reduces its folded node row against its source node's cost row
+// instead of re-deriving the cost per stream.
 //
 //xnuma:noalloc
 func (r *runner) updateLatencies() {
-	if r.cfg.NoBatch {
-		r.fillCyclesReference()
-	} else {
-		r.fillCycles()
-	}
 	nn := r.nNodes
 	for _, in := range r.insts {
 		if in.done {
@@ -735,7 +704,8 @@ func (r *runner) updateLatencies() {
 // per pair-route-link), the controller penalty computed once per
 // destination node, and each pair reduces to a max over its route's
 // snapshot entries plus the model's two coefficient terms. Bit-for-bit
-// identical to fillCyclesReference.
+// identical to the per-pair AccessCycles fill of the engine tests'
+// reference kernel.
 //
 //xnuma:noalloc
 func (r *runner) fillCycles() {
@@ -756,24 +726,6 @@ func (r *runner) fillCycles() {
 				}
 			}
 			row[dst] = r.cost.PairCycles(numa.NodeID(src), numa.NodeID(dst), r.ctrlPen[dst], link)
-		}
-	}
-}
-
-// fillCyclesReference is the per-pair reference fill: direct
-// AccessCycles and PathLinkUtil calls, nothing factored or shared.
-// Config.NoBatch selects it so the equivalence tests can pin the
-// batched kernel's output against it bit-for-bit.
-//
-//xnuma:noalloc
-func (r *runner) fillCyclesReference() {
-	lm := r.cfg.Topo.Latency
-	r.load.FillCtrlUtil(r.ctrlUtil)
-	nn := r.nNodes
-	for src := 0; src < nn; src++ {
-		for dst := 0; dst < nn; dst++ {
-			link := r.load.PathLinkUtil(numa.NodeID(src), numa.NodeID(dst))
-			r.cycles[src*nn+dst] = lm.AccessCycles(r.hops[src*nn+dst], r.ctrlUtil[dst], link)
 		}
 	}
 }
@@ -875,7 +827,7 @@ func (r *runner) carrefourTick(i int, in *Instance) {
 					break
 				}
 			}
-			in.burstLeft = r.cfg.CarrefourEvery + 1
+			in.burstLeft = carrefourEvery + 1
 		}
 	}
 	r.tickUtil = append(r.tickUtil[:0], r.ctrlUtil...)

@@ -160,20 +160,6 @@ func (l *EpochLoad) MaxLinkUtil() float64 {
 	return max
 }
 
-// PathLinkUtil returns the highest utilization among the links on the
-// route from src to dst (0 when src == dst).
-//
-//xnuma:noalloc
-func (l *EpochLoad) PathLinkUtil(src, dst numa.NodeID) float64 {
-	var max float64
-	for _, li := range l.topo.RouteLinks(src, dst) {
-		if u := l.LinkUtil(li); u > max {
-			max = u
-		}
-	}
-	return max
-}
-
 // NodeAccesses returns the access count against node's memory this epoch.
 //
 //xnuma:noalloc

@@ -118,16 +118,27 @@ func TestLinkUtilOnlyRemote(t *testing.T) {
 	}
 }
 
-func TestPathLinkUtil(t *testing.T) {
+// TestAccessesLoadRouteLinks pins where remote traffic lands: accesses
+// from src to dst load exactly the links of the src→dst route, which is
+// what the engine's per-pair route maximum reads back through LinkUtil.
+func TestAccessesLoadRouteLinks(t *testing.T) {
 	topo, l := testLoad(t)
 	l.AddAccesses(0, 7, 1e7)
-	if got := l.PathLinkUtil(0, 0); got != 0 {
-		t.Fatalf("self path util = %v", got)
+	route := map[int]bool{}
+	for _, li := range topo.RouteLinks(0, 7) {
+		route[li] = true
 	}
-	if got := l.PathLinkUtil(0, 7); got <= 0 {
-		t.Fatal("loaded path reports zero")
+	if len(route) == 0 {
+		t.Fatal("route 0→7 has no links")
 	}
-	_ = topo
+	for li := range topo.Links {
+		if u := l.LinkUtil(li); route[li] != (u > 0) {
+			t.Errorf("link %d: utilization %v, on route %v", li, u, route[li])
+		}
+	}
+	if len(topo.RouteLinks(0, 0)) != 0 {
+		t.Error("a node's route to itself crosses links")
+	}
 }
 
 func TestDMALoadsControllerAndLinks(t *testing.T) {

@@ -36,7 +36,7 @@ func BenchmarkCellConstruction(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := buildXenInstance(m, 0, prof, pol, o, nil, memBytes); err != nil {
+			if _, err := buildXenInstance(m, 0, prof, pol, pol.Static, o, nil, memBytes); err != nil {
 				b.Fatal(err)
 			}
 			if o.Pool != nil {

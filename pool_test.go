@@ -85,9 +85,10 @@ func TestPoolReusesMachinesAcrossVMSizes(t *testing.T) {
 }
 
 // TestBadInputsLeaseNoMachine pins that a Xen cell checks its inputs
-// before it leases a machine: an unknown application or pair mode
-// returns its error without cold-building a machine, so the pool
-// counts no miss and drops nothing.
+// before it leases a machine: an unknown application, policy or pair
+// mode, or Carrefour stacked on a policy that forbids it, returns its
+// error without cold-building a machine, so the pool counts no miss and
+// drops nothing.
 func TestBadInputsLeaseNoMachine(t *testing.T) {
 	o := Options{Scale: 256, Pool: NewPool()}
 	ft := MustPolicy("first-touch")
@@ -96,6 +97,16 @@ func TestBadInputsLeaseNoMachine(t *testing.T) {
 	}
 	if _, _, err := RunXenPair("swaptions", ft, "no-such-app", ft, Consolidated, false, o); err == nil {
 		t.Error("RunXenPair with an unknown app: no error")
+	}
+	// Hand-built policies that ParsePolicy would refuse: an unknown kind,
+	// and Carrefour on bind, the one policy it cannot stack on.
+	for _, bad := range []Policy{{Static: "bogus"}, {Static: "bind:0", Carrefour: true}} {
+		if _, err := RunXen("swaptions", bad, o); err == nil {
+			t.Errorf("RunXen with policy %+v: no error", bad)
+		}
+		if _, _, err := RunXenPair("swaptions", ft, "x264", bad, Consolidated, false, o); err == nil {
+			t.Errorf("RunXenPair with policy %+v: no error", bad)
+		}
 	}
 	if _, _, err := RunXenPair("swaptions", ft, "x264", ft, PairMode(7), false, o); err == nil {
 		t.Error("RunXenPair with PairMode(7): no error")

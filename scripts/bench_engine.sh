@@ -8,6 +8,11 @@
 #                                      # >25% ns/op regression vs the
 #                                      # committed file
 #   COUNT=5 scripts/bench_engine.sh    # more -count repetitions (best wins)
+#
+# Record mode stamps the file with the host that measured it: CPU
+# model, nproc, GOMAXPROCS (the benchmark name's -N suffix, 1 when
+# absent) and Go version. Check mode compares numbers only, so read an
+# ns/op gate failure against a file from another host with that in mind.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -47,6 +52,10 @@ END {
 set -- $line
 name=$1 iters=$2 ns=$3 bytes=$4 allocs=$5
 uiters=$6 uns=$7 ubytes=$8 uallocs=$9
+case "$name" in
+*-*) gomaxprocs=${name##*-} name=${name%-*} ;;
+*) gomaxprocs=1 ;;
+esac
 
 if [ "$mode" = check ]; then
 	if [ ! -f BENCH_engine.json ]; then
@@ -84,8 +93,13 @@ if [ "$mode" = check ]; then
 	exit 0
 fi
 
+cpu=$(awk -F: '/^model name/ { sub(/^[ \t]+/, "", $2); print $2; exit }' /proc/cpuinfo 2>/dev/null)
 cat >BENCH_engine.json <<EOF
 {
+  "host_cpu": "${cpu:-unknown}",
+  "host_nproc": $(nproc),
+  "host_gomaxprocs": $gomaxprocs,
+  "go_version": "$(go env GOVERSION)",
   "benchmark": "$name",
   "iterations": $iters,
   "ns_per_op": $ns,

@@ -76,8 +76,6 @@ type Options struct {
 	Scale int
 	// Seed makes runs reproducible (default 1).
 	Seed uint64
-	// Threads overrides the thread/vCPU count (default: all 48 CPUs).
-	Threads int
 	// XenPlus enables the paper's improved baseline: IOMMU + PCI
 	// passthrough for I/O and MCS spin locks for the pthread-blocking
 	// applications (§5.3). Ignored by native runs.
@@ -85,10 +83,6 @@ type Options struct {
 	// MCS forces the MCS-lock mitigation for pthread applications in
 	// native runs (the paper's LinuxNUMA baseline uses it).
 	MCS bool
-	// Queue overrides the page-queue driver configuration (§4.2.4).
-	Queue guest.QueueConfig
-	// MaxTime bounds a run in virtual time (default 300 s).
-	MaxTime sim.Time
 	// TLB enables the address-translation cost model of the paper's §7
 	// large-page extension; LargePages then maps the workload with
 	// 2 MiB pages. Both default off (the paper's baseline).
@@ -105,10 +99,6 @@ type Options struct {
 	// its machine: the fresh-build reference path the pooled-vs-fresh
 	// equivalence tests pin against.
 	Pool *Pool
-	// noBatch selects the engine's per-instance reference kernel, for
-	// the batched-kernel equivalence tests. Unexported on purpose: it is
-	// bit-for-bit identical to the default, just slower.
-	noBatch bool
 }
 
 // topoCache shares one immutable AMD48 topology per scale: every sweep
@@ -134,15 +124,6 @@ func (o Options) normalized() Options {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.Threads == 0 {
-		o.Threads = 48
-	}
-	if o.Queue.Queues == 0 {
-		o.Queue = guest.DefaultQueueConfig()
-	}
-	if o.MaxTime == 0 {
-		o.MaxTime = 300 * sim.Second
-	}
 	return o
 }
 
@@ -158,7 +139,8 @@ func RunXen(app string, pol Policy, o Options) (Result, error) {
 }
 
 // xenVM describes one VM of a Xen cell: its application, its policy and
-// the CPUs its vCPUs are pinned to (nil pins the first Threads CPUs).
+// the CPUs its vCPUs are pinned to, one thread each (nil pins every CPU
+// of the machine).
 type xenVM struct {
 	app  string
 	pol  Policy
@@ -167,16 +149,23 @@ type xenVM struct {
 
 // runXen runs one Xen cell, the single-VM and pair settings alike: the
 // VMs share one machine of shape (scale, IOMMU, len(vms)), each sized as
-// one of memVMs VMs splitting its memory. Every app is resolved before
-// the machine is leased, so a bad input costs the pool nothing. The
-// machine goes back to o.Pool only when the run completes: a machine
-// whose run failed mid-build is dropped, its state neither pristine nor
-// resettable by construction. o must be normalized.
+// one of memVMs VMs splitting its memory. Every app and policy is
+// resolved before the machine is leased, so a bad input costs the pool
+// nothing. The machine goes back to o.Pool only when the run completes:
+// a machine whose run failed mid-build is dropped, its state neither
+// pristine nor resettable by construction. o must be normalized.
 func runXen(o Options, memVMs int, vms ...xenVM) ([]Result, error) {
 	profs := make([]workload.Profile, len(vms))
+	boots := make([]policy.Kind, len(vms))
 	for i, vm := range vms {
 		prof, err := workload.Get(vm.app)
 		if err != nil {
+			return nil, err
+		}
+		if err := policy.CheckConfig(vm.pol); err != nil {
+			return nil, err
+		}
+		if boots[i], err = policy.BootKind(vm.pol.Static); err != nil {
 			return nil, err
 		}
 		profs[i] = prof
@@ -189,7 +178,7 @@ func runXen(o Options, memVMs int, vms ...xenVM) ([]Result, error) {
 	insts := make([]*engine.Instance, len(vms))
 	for i, vm := range vms {
 		memBytes := vmMemBytes(m.hv.Topo, profs[i], o, memVMs)
-		if insts[i], err = buildXenInstance(m, i, profs[i], vm.pol, o, vm.pins, memBytes); err != nil {
+		if insts[i], err = buildXenInstance(m, i, profs[i], vm.pol, boots[i], o, vm.pins, memBytes); err != nil {
 			return nil, err
 		}
 	}
@@ -207,9 +196,7 @@ func runXen(o Options, memVMs int, vms ...xenVM) ([]Result, error) {
 func engineConfig(o Options) engine.Config {
 	cfg := engine.DefaultConfig(scaledTopo(o.Scale), o.Scale)
 	cfg.Seed = o.Seed
-	cfg.MaxTime = o.MaxTime
 	cfg.Carrefour.EnableReplication = o.Replication
-	cfg.NoBatch = o.noBatch
 	if o.TLB {
 		tlb := numa.DefaultTLB()
 		cfg.TLB = &tlb
@@ -218,13 +205,13 @@ func engineConfig(o Options) engine.Config {
 }
 
 // fillInstance sets what an engine instance runs: the app on backend b
-// with the options' threads and page size, the policy's Carrefour
-// stacking, and MCS locks when mcs is set and the app uses pthread
-// synchronization.
-func fillInstance(in *engine.Instance, prof workload.Profile, b engine.Backend, pol Policy, o Options, mcs bool) {
+// with the given thread count and the options' page size, the policy's
+// Carrefour stacking, and MCS locks when mcs is set and the app uses
+// pthread synchronization.
+func fillInstance(in *engine.Instance, prof workload.Profile, b engine.Backend, pol Policy, o Options, threads int, mcs bool) {
 	in.Prof = prof
 	in.Backend = b
-	in.NThreads = o.Threads
+	in.NThreads = threads
 	in.Carrefour = pol.Carrefour
 	in.CarrefourMode = carrefourMode(pol)
 	in.MCS = mcs && prof.UsesPthreadSync
@@ -239,12 +226,13 @@ func RunLinux(app string, pol Policy, o Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	b, err := linux.New(scaledTopo(o.Scale), pol)
+	topo := scaledTopo(o.Scale)
+	b, err := linux.New(topo, pol)
 	if err != nil {
 		return Result{}, err
 	}
 	inst := &engine.Instance{}
-	fillInstance(inst, prof, b, pol, o, o.MCS)
+	fillInstance(inst, prof, b, pol, o, topo.NumCPUs(), o.MCS)
 	res, err := engine.Run(engineConfig(o), inst)
 	if err != nil {
 		return Result{}, err
@@ -278,7 +266,6 @@ func RunXenPair(app1 string, pol1 Policy, app2 string, pol2 Policy, mode PairMod
 	switch mode {
 	case Colocated:
 		memVMs = 2
-		o.Threads = 24
 		half := topo.NumNodes() / 2
 		for n, node := range topo.Nodes {
 			for _, c := range node.CPUs {
@@ -333,18 +320,14 @@ func vmMemBytes(topo *numa.Topology, prof workload.Profile, o Options, vms int) 
 	return memBytes
 }
 
-// buildXenInstance creates the VM for one instance slot of m's machine
-// and (re)builds its guest backend and engine instance. On a warm lease
-// the slot's previous backend and instance are recycled in place; the
-// result is bit-for-bit identical to a cold build either way.
-func buildXenInstance(m *machine, slot int, prof workload.Profile, pol Policy, o Options, pins []numa.CPUID, memBytes int64) (*engine.Instance, error) {
-	boot, err := policy.BootKind(pol.Static)
-	if err != nil {
-		return nil, err
-	}
-	topo := m.hv.Topo
+// buildXenInstance creates the VM for one instance slot of m's machine,
+// booted as boot, and (re)builds its guest backend and engine instance.
+// On a warm lease the slot's previous backend and instance are recycled
+// in place; the result is bit-for-bit identical to a cold build either
+// way.
+func buildXenInstance(m *machine, slot int, prof workload.Profile, pol Policy, boot policy.Kind, o Options, pins []numa.CPUID, memBytes int64) (*engine.Instance, error) {
 	if len(pins) == 0 {
-		for c := 0; c < o.Threads && c < topo.NumCPUs(); c++ {
+		for c := 0; c < m.hv.Topo.NumCPUs(); c++ {
 			pins = append(pins, numa.CPUID(c))
 		}
 	}
@@ -359,7 +342,7 @@ func buildXenInstance(m *machine, slot int, prof workload.Profile, pol Policy, o
 	if err != nil {
 		return nil, err
 	}
-	b, _, err := guest.RebuildBackend(m.backs[slot], m.hv, dom, o.Queue, pol)
+	b, _, err := guest.RebuildBackend(m.backs[slot], m.hv, dom, guest.DefaultQueueConfig(), pol)
 	if err != nil {
 		return nil, err
 	}
@@ -371,7 +354,7 @@ func buildXenInstance(m *machine, slot int, prof workload.Profile, pol Policy, o
 	} else {
 		in.Recycle()
 	}
-	fillInstance(in, prof, b, pol, o, o.XenPlus)
+	fillInstance(in, prof, b, pol, o, len(pins), o.XenPlus)
 	return in, nil
 }
 

@@ -241,7 +241,7 @@ func TestRunXenPairConsolidatedSlower(t *testing.T) {
 
 func TestOptionsNormalization(t *testing.T) {
 	o := Options{}.normalized()
-	if o.Scale != 64 || o.Seed != 1 || o.Threads != 48 || o.Queue.Queues != 4 {
+	if o.Scale != 64 || o.Seed != 1 {
 		t.Fatalf("defaults wrong: %+v", o)
 	}
 }
